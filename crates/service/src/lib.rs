@@ -40,6 +40,7 @@
 
 mod client;
 mod framing;
+mod front;
 pub mod loadgen;
 pub mod proto;
 mod router;

@@ -189,12 +189,9 @@ pub enum Request {
     Utility,
     /// `PARTS?` — per-task weighted utility terms in arrival order (v2).
     Parts,
-    /// `METRICS?` — solver metrics and negotiation counters.
-    Metrics,
     /// `EXPORT?` — Prometheus-style text exposition of the typed metric
     /// registry (`# TYPE`/`# HELP` comments plus cumulative histogram
-    /// bucket lines). The legacy `METRICS?` keys survive as aliased
-    /// families; `docs/service_protocol.md` has the normative schema.
+    /// bucket lines); `docs/service_protocol.md` has the normative schema.
     Export,
     /// `SHARDS?` — per-shard slot, cell, and admission counters (v2).
     Shards,
@@ -221,9 +218,31 @@ pub enum Request {
     Bye,
 }
 
+/// Every wire directive [`Request::opcode`] returns, for pre-building the
+/// per-opcode metric series (a request whose opcode is missing here would
+/// go uncounted).
+pub const OPCODES: [&str; 15] = [
+    "HELLO",
+    "LOAD",
+    "SUBMIT",
+    "TICK",
+    "CLOCK?",
+    "SCHEDULE?",
+    "UTILITY?",
+    "PARTS?",
+    "EXPORT?",
+    "SHARDS?",
+    "TENANT",
+    "RESHARD",
+    "SNAPSHOT",
+    "RESTORE",
+    "BYE",
+];
+
 impl Request {
     /// The wire directive of this request, for metric `opcode` labels.
-    /// Stable tokens: exactly the directives of the protocol spec.
+    /// Stable tokens: exactly the directives of the protocol spec, all
+    /// listed in [`OPCODES`].
     pub fn opcode(&self) -> &'static str {
         match self {
             Request::Hello(_) => "HELLO",
@@ -234,7 +253,6 @@ impl Request {
             Request::Schedule => "SCHEDULE?",
             Request::Utility => "UTILITY?",
             Request::Parts => "PARTS?",
-            Request::Metrics => "METRICS?",
             Request::Export => "EXPORT?",
             Request::Shards => "SHARDS?",
             Request::Tenant { .. } => "TENANT",
@@ -306,8 +324,6 @@ impl Request {
             ("UTILITY?", _) => Err(arity(0)),
             ("PARTS?", []) => Ok(Request::Parts),
             ("PARTS?", _) => Err(arity(0)),
-            ("METRICS?", []) => Ok(Request::Metrics),
-            ("METRICS?", _) => Err(arity(0)),
             ("EXPORT?", []) => Ok(Request::Export),
             ("EXPORT?", _) => Err(arity(0)),
             ("SHARDS?", []) => Ok(Request::Shards),
@@ -363,7 +379,6 @@ mod tests {
         assert_eq!(Request::parse("SCHEDULE?"), Ok(Request::Schedule));
         assert_eq!(Request::parse("UTILITY?"), Ok(Request::Utility));
         assert_eq!(Request::parse("PARTS?"), Ok(Request::Parts));
-        assert_eq!(Request::parse("METRICS?"), Ok(Request::Metrics));
         assert_eq!(Request::parse("EXPORT?"), Ok(Request::Export));
         assert_eq!(Request::parse("SHARDS?"), Ok(Request::Shards));
         assert_eq!(
@@ -415,10 +430,13 @@ mod tests {
         assert!(Request::parse("RESHARD SPLIT x").is_err());
         assert!(Request::parse("RESHARD MERGE 1").is_err());
         assert!(Request::parse("RESHARD GROW 1").is_err());
+        // Retired verb: the typed `EXPORT?` exposition replaced it.
+        assert!(Request::parse("METRICS?").is_err());
     }
 
     #[test]
     fn opcode_round_trips_through_parse() {
+        let mut seen = Vec::new();
         for line in [
             "HELLO v1",
             "LOAD 3",
@@ -428,7 +446,6 @@ mod tests {
             "SCHEDULE?",
             "UTILITY?",
             "PARTS?",
-            "METRICS?",
             "EXPORT?",
             "SHARDS?",
             "TENANT acme",
@@ -441,6 +458,17 @@ mod tests {
             let request = Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let directive = line.split_whitespace().next().unwrap_or_default();
             assert_eq!(request.opcode(), directive);
+            assert!(
+                OPCODES.contains(&request.opcode()),
+                "{line}: opcode missing from OPCODES"
+            );
+            seen.push(request.opcode());
+        }
+        for opcode in OPCODES {
+            assert!(
+                seen.contains(&opcode),
+                "OPCODES lists `{opcode}` no verb has"
+            );
         }
     }
 

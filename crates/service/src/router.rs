@@ -6,8 +6,8 @@
 //! sub-scenarios — rejecting unpartitionable inputs with
 //! `ERR unpartitionable` — and `SUBMIT` routes each task to the shard
 //! owning its device position through a versioned [`RoutingMap`].
-//! `TICK`, `UTILITY?`, `METRICS?` fan out to every shard of the
-//! session's tenant; `SHARDS?` and `EXPORT?` span all tenants.
+//! `TICK` and `UTILITY?` fan out to every shard of the session's
+//! tenant; `SHARDS?` and `EXPORT?` span all tenants.
 //!
 //! **Multi-tenancy.** Each tenant owns a full routing universe: its own
 //! partition, shard fleet, routing map, accepted-operation history, and
@@ -55,7 +55,7 @@
 //! determinism makes the rebuilt state bit-identical, so a recovered
 //! cell rejoins the lockstep exactly where the router believes it is.
 //! `SHARDS?` reports each shard as `up`, `restarting`, or `degraded`
-//! (recovered after ≥1 restart); `METRICS?` totals restarts, replayed
+//! (recovered after ≥1 restart); `EXPORT?` counts restarts, replayed
 //! operations, and currently-down shards.
 //!
 //! **Bit-equivalence contract.** With localized replanning
@@ -90,8 +90,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -100,16 +99,13 @@ use haste_geometry::{Angle, Vec2};
 use haste_model::{
     io as model_io, CellRect, ChargerId, Partition, PartitionError, RoutingMap, Scenario, Schedule,
 };
-use haste_parallel::ThreadPool;
 use parking_lot::Mutex;
 
 use crate::client::Client;
-use crate::framing::{self, BatchAck};
+use crate::framing::BatchAck;
+use crate::front::{read_payload, Endpoint, Running};
 use crate::proto::{ErrCode, Reply, Request};
-use crate::server::{
-    batch_backstop, catching, hello_reply, parts_payload, read_line_polling, read_payload,
-    shard_err, shard_err_parts, shard_line, READ_POLL,
-};
+use crate::server::{hello_reply, parts_payload, shard_err, shard_err_parts, shard_line};
 use crate::shard::{Shard, ShardHealth, ShardStatus, UtilityParts};
 use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
@@ -347,13 +343,38 @@ impl Default for Session {
     }
 }
 
+impl Endpoint for RouterShared {
+    /// The connection's tenant binding. A `RefCell` because the framed
+    /// loop hands the session to two closures (text and batch frames).
+    type Session = RefCell<Session>;
+
+    fn execute<R: BufRead>(
+        &self,
+        request: Request,
+        reader: &mut R,
+        session: &RefCell<Session>,
+    ) -> std::io::Result<(Reply, bool)> {
+        execute(request, reader, self, session)
+    }
+
+    fn execute_batch(&self, specs: &[TaskSpec], session: &RefCell<Session>) -> Vec<BatchAck> {
+        execute_batch(specs, self, session)
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+}
+
 /// A running router. Dropping the handle shuts it down and joins its
 /// threads.
 pub struct RouterHandle {
     addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    metrics_thread: Option<std::thread::JoinHandle<()>>,
+    running: Running<RouterShared>,
 }
 
 impl RouterHandle {
@@ -364,36 +385,19 @@ impl RouterHandle {
 
     /// The number of shards the initial grid gives every tenant.
     pub fn shards(&self) -> usize {
-        self.shared.config.cells.0 * self.shared.config.cells.1
+        let cells = self.running.endpoint().config.cells;
+        cells.0 * cells.1
     }
 
     /// Blocks until the accept loop exits (i.e. forever, unless another
     /// thread signals shutdown). For foreground daemon binaries.
     pub fn join(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.running.wait();
     }
 
     /// Signals shutdown and joins the accept loop and all handlers.
     pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.metrics_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+        self.running.stop();
     }
 }
 
@@ -466,16 +470,11 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     );
     TenantCounters::set_shards(router_telemetry.registry(), DEFAULT_TENANT, num_shards);
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     // Bind the scrape listener before spawning anything, so a bad
     // `metrics_addr` aborts startup instead of failing silently later.
     let metrics_listener = match &config.metrics_addr {
-        Some(scrape_addr) => {
-            let listener = TcpListener::bind(scrape_addr)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
-        }
+        Some(scrape_addr) => Some(TcpListener::bind(scrape_addr)?),
         None => None,
     };
     let wal_runtime = match &config.wal {
@@ -504,56 +503,20 @@ pub fn serve_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     // exists, so the first connection already sees the recovered state.
     // (The listener is bound; early connectors wait in its backlog.)
     recover_from_wal(&shared)?;
-    let accept_shared = Arc::clone(&shared);
-    let workers = config.worker_threads.max(1);
-    let accept_thread = std::thread::Builder::new()
-        .name("haste-router-accept".to_string())
-        .spawn(move || {
-            let pool = ThreadPool::new(workers);
-            while !accept_shared.shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let conn_shared = Arc::clone(&accept_shared);
-                        pool.execute(move || {
-                            let _ = handle_connection(stream, &conn_shared);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })?;
-    let metrics_thread = match metrics_listener {
-        Some(listener) => {
-            let scrape_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("haste-router-metrics".to_string())
-                    .spawn(move || {
-                        while !scrape_shared.shutdown.load(Ordering::Acquire) {
-                            match listener.accept() {
-                                Ok((stream, _peer)) => {
-                                    let _ = serve_scrape(stream, addr);
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(5));
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                    })?,
-            )
-        }
-        None => None,
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        accept_thread: Some(accept_thread),
-        metrics_thread,
-    })
+    let mut running = Running::new(shared);
+    running.serve("haste-router-accept", listener, config.worker_threads)?;
+    if let Some(listener) = metrics_listener {
+        running.serve_with(
+            "haste-router-metrics",
+            listener,
+            SCRAPE_DEADLINE,
+            SCRAPE_DEADLINE,
+            move |stream| {
+                let _ = serve_scrape(stream, addr);
+            },
+        )?;
+    }
+    Ok(RouterHandle { addr, running })
 }
 
 /// Every socket deadline on the HTTP scrape path — the scraper-facing
@@ -630,61 +593,6 @@ fn serve_scrape_with(
     writer.flush()
 }
 
-/// Serves one connection until EOF, `BYE`, or shutdown. The session (the
-/// connection's tenant binding) lives in a `RefCell` because the framed
-/// loop hands two closures to [`framing::serve_frames`] and both need it.
-fn handle_connection(stream: TcpStream, shared: &RouterShared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(crate::server::WRITE_STALL))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut buf = Vec::new();
-    let session = RefCell::new(Session::default());
-    loop {
-        let Some(line) = read_line_polling(&mut reader, &mut buf, &shared.shutdown)? else {
-            return Ok(());
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let (reply, close) = dispatch(&line, &mut reader, shared, &session)?;
-        let upgrade = framing::upgrades_to_v3(&line, &reply);
-        writer.write_all(reply.serialize().as_bytes())?;
-        writer.flush()?;
-        if close {
-            return Ok(());
-        }
-        if upgrade {
-            // Same switch as the single-engine daemon: the accepted
-            // `HELLO v3` greeting is the last text exchange.
-            return serve_framed(&mut reader, &mut writer, shared, &session);
-        }
-    }
-}
-
-/// The router's framed (protocol v3) connection loop: identical dispatch
-/// semantics, plus the batched-submit path — many records per `OP_BATCH`
-/// frame, routed and acknowledged under one acquisition of the router
-/// mutex.
-fn serve_framed<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> std::io::Result<()> {
-    framing::serve_frames(
-        reader,
-        writer,
-        &shared.shutdown,
-        |head, payload| {
-            let mut embedded = std::io::Cursor::new(payload);
-            dispatch(head, &mut embedded, shared, session)
-        },
-        |specs| batch_backstop(specs, || execute_batch(specs, shared, session)),
-    )
-}
-
 /// Executes a batched submission on the router: one lock acquisition,
 /// then per record the exact `SUBMIT` path — finiteness check, quota
 /// gate, cell routing, shard admission, and a push onto the tenant's
@@ -699,7 +607,6 @@ fn execute_batch(
     shared: &RouterShared,
     session: &RefCell<Session>,
 ) -> Vec<BatchAck> {
-    let start = telemetry::clock_start();
     let tenant_id = session.borrow().tenant.clone();
     let mut core = shared.core.lock();
     let mut records: Vec<WalRecord> = Vec::new();
@@ -707,10 +614,7 @@ fn execute_batch(
         let (code, message) = wal_poisoned_parts(&tenant_id);
         specs
             .iter()
-            .map(|_| BatchAck::Err {
-                code: code.as_str().to_string(),
-                message: message.clone(),
-            })
+            .map(|_| BatchAck::rejected(code, message.clone()))
             .collect()
     } else {
         match core.tenants.get_mut(&tenant_id) {
@@ -718,10 +622,7 @@ fn execute_batch(
                 let (code, message) = unknown_tenant_parts(&tenant_id);
                 specs
                     .iter()
-                    .map(|_| BatchAck::Err {
-                        code: code.as_str().to_string(),
-                        message: message.clone(),
-                    })
+                    .map(|_| BatchAck::rejected(code, message.clone()))
                     .collect()
             }
             Some(tenant) => specs
@@ -748,10 +649,7 @@ fn execute_batch(
                                     code: code.as_str().to_string(),
                                     spec: *spec,
                                 });
-                                BatchAck::Err {
-                                    code: code.as_str().to_string(),
-                                    message,
-                                }
+                                BatchAck::rejected(code, message)
                             }
                         }
                     }
@@ -765,48 +663,10 @@ fn execute_batch(
         let (code, message) = wal_poisoned_parts(&tenant_id);
         acks = specs
             .iter()
-            .map(|_| BatchAck::Err {
-                code: code.as_str().to_string(),
-                message: message.clone(),
-            })
+            .map(|_| BatchAck::rejected(code, message.clone()))
             .collect();
     }
-    let rejected = acks
-        .iter()
-        .filter(|ack| matches!(ack, BatchAck::Err { .. }))
-        .count();
-    shared
-        .telemetry
-        .observe_batch(specs.len(), rejected, telemetry::elapsed_us(start));
     acks
-}
-
-/// Parses and executes one request under the panic backstop (see the
-/// single-engine daemon's `dispatch`).
-fn dispatch<R: BufRead>(
-    line: &str,
-    reader: &mut R,
-    shared: &RouterShared,
-    session: &RefCell<Session>,
-) -> std::io::Result<(Reply, bool)> {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(reason) => {
-            shared.telemetry.count_error(ErrCode::BadRequest);
-            return Ok((Reply::Err(ErrCode::BadRequest, reason), false));
-        }
-    };
-    let opcode = request.opcode();
-    let start = telemetry::clock_start();
-    let result = catching(AssertUnwindSafe(|| {
-        execute(request, reader, shared, session)
-    }));
-    if let Ok((reply, _)) = &result {
-        shared
-            .telemetry
-            .observe_request(opcode, telemetry::elapsed_us(start), reply);
-    }
-    result
 }
 
 /// Maps a partition failure onto the wire error space: geometry/split
@@ -1359,11 +1219,9 @@ fn execute<R: BufRead>(
             }
         }
         Request::Load(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated LOAD payload".to_string()),
-                    true,
-                ));
+            let payload = match read_payload(reader, count, &shared.shutdown, "LOAD")? {
+                Ok(payload) => payload,
+                Err(refusal) => return Ok((refusal, true)),
             };
             let (tenant_id, pending_quota) = {
                 let mut session = session.borrow_mut();
@@ -1585,7 +1443,7 @@ fn execute<R: BufRead>(
         Request::Export => {
             let core = shared.core.lock();
             let mut snap = shared.telemetry.registry().snapshot();
-            // Engine aliases and the down gauge come from the status view,
+            // Engine families and the down gauge come from the status view,
             // uniformly across deployment modes and tenants; the router
             // renders them itself so child engine series are never
             // double-counted.
@@ -1605,7 +1463,7 @@ fn execute<R: BufRead>(
                 }
             }
             if saw_status {
-                telemetry::engine_alias_snapshot(&merged, &mut snap);
+                telemetry::engine_snapshot(&merged, &mut snap);
             }
             snap.set_gauge("haste_supervisor_down_shards", &[], u128::from(down));
             // Out-of-process children carry their own registries: fetch
@@ -1626,55 +1484,6 @@ fn execute<R: BufRead>(
                 }
             }
             Reply::Data(snap.render())
-        }
-        Request::Metrics => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — deadline-bounded STATUS? per cell under one `core` hold so the merged totals are a consistent cut
-                        match fleet_totals(tenant) {
-                            Err(reply) => reply,
-                            Ok(totals) => {
-                                let status = &totals.status;
-                                let mut payload = String::new();
-                                for (key, value) in [
-                                    ("clock", status.clock.to_string()),
-                                    ("tasks", status.tasks.to_string()),
-                                    ("staged", status.staged.to_string()),
-                                    ("admitted", status.admitted.to_string()),
-                                    ("rejected", status.rejected.to_string()),
-                                    ("pending", status.pending.to_string()),
-                                    ("threads", status.threads.to_string()),
-                                    ("oracle_marginals", status.oracle_marginals.to_string()),
-                                    ("oracle_commits", status.oracle_commits.to_string()),
-                                    ("messages", status.messages.to_string()),
-                                    ("rounds", status.rounds.to_string()),
-                                    ("instance_build_us", status.instance_build_us.to_string()),
-                                    ("greedy_us", status.greedy_us.to_string()),
-                                    ("rounding_us", status.rounding_us.to_string()),
-                                    ("coverage_build_us", status.coverage_build_us.to_string()),
-                                    // Supervision totals across the shard fleet
-                                    // (identically zero for in-process shards).
-                                    ("shard_restarts", totals.restarts.to_string()),
-                                    ("shard_replays", totals.replays.to_string()),
-                                    ("shards_down", totals.down.to_string()),
-                                ] {
-                                    payload.push_str(key);
-                                    payload.push(' ');
-                                    payload.push_str(&value);
-                                    payload.push('\n');
-                                }
-                                Reply::Data(payload)
-                            }
-                        }
-                    }
-                }
-            }
         }
         Request::Shards => {
             let core = shared.core.lock();
@@ -1722,11 +1531,9 @@ fn execute<R: BufRead>(
             }
         }
         Request::Restore(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated RESTORE payload".to_string()),
-                    true,
-                ));
+            let payload = match read_payload(reader, count, &shared.shutdown, "RESTORE")? {
+                Ok(payload) => payload,
+                Err(refusal) => return Ok((refusal, true)),
             };
             let mut core = shared.core.lock();
             // haste-lint: allow(L2) — per-cell RESTOREs are deadline-bounded; `core` held so no request observes a half-restored composite
@@ -1785,42 +1592,6 @@ fn execute<R: BufRead>(
         Request::Bye => return Ok((Reply::Ok("bye".to_string()), true)),
     };
     Ok((reply, false))
-}
-
-/// Fleet-wide counter totals backing the `METRICS?` payload: the merged
-/// per-shard status plus the supervision counters summed across one
-/// tenant's fleet.
-struct FleetTotals {
-    status: ShardStatus,
-    restarts: u64,
-    replays: u64,
-    down: u64,
-}
-
-fn fleet_totals(tenant: &TenantCore) -> Result<FleetTotals, Reply> {
-    let mut status = ShardStatus::default();
-    let mut restarts = 0u64;
-    let mut replays = 0u64;
-    let mut down = 0u64;
-    for shard in &tenant.shards {
-        match shard.status_view() {
-            Ok((view, health, shard_restarts, replay)) => {
-                status.absorb(&view);
-                restarts += shard_restarts;
-                replays += replay;
-                if health == ShardHealth::Restarting {
-                    down += 1;
-                }
-            }
-            Err(e) => return Err(slot_err(e)),
-        }
-    }
-    Ok(FleetTotals {
-        status,
-        restarts,
-        replays,
-        down,
-    })
 }
 
 /// The `SHARDS?` payload: one line per shard of every loaded tenant, in

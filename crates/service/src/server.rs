@@ -1,43 +1,26 @@
-//! The daemon: TCP accept loop, connection handlers, request dispatch.
-//!
-//! Plain `std::net` blocking sockets — no async runtime. The accept loop
-//! runs on one thread in non-blocking mode (polling a shutdown flag);
-//! each accepted connection is handled on a worker of a
-//! [`haste_parallel::ThreadPool`]. Handlers use short read timeouts so an
-//! idle connection notices shutdown promptly. All connections share one
-//! [`Shard`] (engine + admission + metrics): requests are serialized by
-//! its mutex, which matches the engine's semantics (submissions within a
-//! slot are ordered by admission, and that order *is* the determinism
-//! contract).
+//! The single-engine daemon: one [`Shard`] (engine + admission +
+//! metrics) behind the shared front door ([`crate::front`]). All
+//! connections share the shard: requests are serialized by its mutex,
+//! which matches the engine's semantics (submissions within a slot are
+//! ordered by admission, and that order *is* the determinism contract).
 //!
 //! This file owns the wire formatting for the single-engine daemon; the
 //! engine state itself lives in [`crate::shard`], shared with the
 //! multi-shard router in [`crate::router`].
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::BufRead;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use haste_distributed::{AdmitError, OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
-use haste_parallel::ThreadPool;
 
-use crate::framing::{self, BatchAck};
+use crate::framing::BatchAck;
+use crate::front::{read_payload, Endpoint, Running};
 use crate::proto::{ErrCode, Reply, Request, VERSION, VERSION_V2, VERSION_V3};
 use crate::shard::{Shard, ShardError, ShardHealth};
-use crate::telemetry::{self, Telemetry};
-
-/// How long a handler blocks on a read before re-checking the shutdown
-/// flag. Short enough for prompt shutdown, long enough to stay off the CPU.
-pub(crate) const READ_POLL: Duration = Duration::from_millis(25);
-
-/// Write deadline for connection handlers: a client that stops reading
-/// while the daemon writes a large reply (an `EXPORT?` document) must
-/// fail the connection, not wedge its handler thread forever.
-pub(crate) const WRITE_STALL: Duration = Duration::from_secs(30);
+use crate::telemetry::Telemetry;
 
 /// Configuration of a daemon instance.
 #[derive(Debug, Clone)]
@@ -74,12 +57,60 @@ struct Shared {
     telemetry: Telemetry,
 }
 
+impl Endpoint for Shared {
+    type Session = ();
+
+    fn execute<R: BufRead>(
+        &self,
+        request: Request,
+        reader: &mut R,
+        _session: &(),
+    ) -> std::io::Result<(Reply, bool)> {
+        execute(request, reader, self)
+    }
+
+    /// Per-record admission in frame order under the shard's own
+    /// serialization — the same order contract as the equivalent sequence
+    /// of text `SUBMIT`s.
+    fn execute_batch(&self, specs: &[TaskSpec], _session: &()) -> Vec<BatchAck> {
+        specs
+            .iter()
+            .map(|spec| {
+                if !(spec.device_pos.x.is_finite()
+                    && spec.device_pos.y.is_finite()
+                    && spec.device_facing.radians().is_finite())
+                {
+                    BatchAck::rejected(ErrCode::BadTask, "non-finite position/facing")
+                } else {
+                    match self.shard.submit(*spec) {
+                        Ok((id, release)) => BatchAck::Ok {
+                            task: u64::from(id.0),
+                            release: release as u64,
+                        },
+                        Err(e) => {
+                            let (code, message) = shard_err_parts(e);
+                            BatchAck::rejected(code, message)
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+}
+
 /// A running daemon. Dropping the handle shuts the daemon down and joins
 /// its threads.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    running: Running<Shared>,
 }
 
 impl ServerHandle {
@@ -91,20 +122,7 @@ impl ServerHandle {
     /// Signals shutdown and joins the accept loop and all handlers. Open
     /// connections are closed after their in-flight request completes.
     pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+        self.running.stop();
     }
 }
 
@@ -113,263 +131,14 @@ impl Drop for ServerHandle {
 /// binding.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
+    let mut running = Running::new(Arc::new(Shared {
         shard: Shard::new(config.scheduling.clone(), config.max_pending),
         shutdown: AtomicBool::new(false),
         telemetry: Telemetry::new(),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let workers = config.worker_threads.max(1);
-    let accept_thread = std::thread::Builder::new()
-        .name("haste-service-accept".to_string())
-        .spawn(move || {
-            // The pool lives (and on exit drains + joins) inside the
-            // accept thread, so joining the accept thread joins everything.
-            let pool = ThreadPool::new(workers);
-            while !accept_shared.shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let conn_shared = Arc::clone(&accept_shared);
-                        pool.execute(move || {
-                            let _ = handle_connection(stream, &conn_shared);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })?;
-    Ok(ServerHandle {
-        addr,
-        shared,
-        accept_thread: Some(accept_thread),
-    })
-}
-
-/// Reads one `\n`-terminated line, polling the shutdown flag across read
-/// timeouts. Partial bytes accumulate in `buf` between polls, so a slow
-/// sender never loses data. Returns `None` on EOF or shutdown. Generic
-/// over the reader so request handling is unit-testable off a socket.
-pub(crate) fn read_line_polling<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<String>> {
-    buf.clear();
-    loop {
-        match reader.read_until(b'\n', buf) {
-            Ok(0) => return Ok(None),
-            // A read without a trailing newline means EOF mid-line; the
-            // fragment is treated as a final line.
-            Ok(_) => {
-                let line = String::from_utf8_lossy(buf).trim_end().to_string();
-                return Ok(Some(line));
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Reads `count` payload lines (a length-prefixed document).
-pub(crate) fn read_payload<R: BufRead>(
-    reader: &mut R,
-    count: usize,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<String>> {
-    let mut payload = String::new();
-    let mut buf = Vec::new();
-    for _ in 0..count {
-        match read_line_polling(reader, &mut buf, shutdown)? {
-            Some(line) => {
-                payload.push_str(&line);
-                payload.push('\n');
-            }
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(payload))
-}
-
-/// Serves one connection until EOF, `BYE`, or shutdown.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(WRITE_STALL))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        let Some(line) = read_line_polling(&mut reader, &mut buf, &shared.shutdown)? else {
-            return Ok(());
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let (reply, close) = dispatch(&line, &mut reader, shared)?;
-        let upgrade = framing::upgrades_to_v3(&line, &reply);
-        writer.write_all(reply.serialize().as_bytes())?;
-        writer.flush()?;
-        if close {
-            return Ok(());
-        }
-        if upgrade {
-            // The accepted `HELLO v3` greeting is the last text exchange;
-            // everything after it is length-prefixed binary frames.
-            return serve_framed(&mut reader, &mut writer, shared);
-        }
-    }
-}
-
-/// Serves a connection that negotiated protocol v3: the framed loop over
-/// the same dispatch path. Text requests arrive with their payload
-/// embedded in the frame, so the payload reader is a cursor over those
-/// bytes — `read_payload` and every handler behave exactly as over TCP
-/// lines, including the truncated-payload close.
-fn serve_framed<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    framing::serve_frames(
-        reader,
-        writer,
-        &shared.shutdown,
-        |head, payload| {
-            let mut embedded = std::io::Cursor::new(payload);
-            dispatch(head, &mut embedded, shared)
-        },
-        |specs| batch_backstop(specs, || execute_batch(specs, shared)),
-    )
-}
-
-/// The batch-mode panic backstop: like [`catching`], but vectored — a
-/// panic mid-batch yields an `ERR internal` ack for every record (which
-/// records applied is unknowable past a panic; the engine state is
-/// unspecified either way, and the acks tell the client to recover).
-pub(crate) fn batch_backstop<F>(specs: &[TaskSpec], f: F) -> Vec<BatchAck>
-where
-    F: FnOnce() -> Vec<BatchAck>,
-{
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(acks) => acks,
-        Err(_) => specs
-            .iter()
-            .map(|_| BatchAck::rejected(ErrCode::Internal, "request handler panicked"))
-            .collect(),
-    }
-}
-
-/// Executes a batched submission: per-record admission, one vectored ack.
-/// Records are admitted in frame order under the shard's own serialization
-/// — the same order contract as the equivalent sequence of text `SUBMIT`s.
-fn execute_batch(specs: &[TaskSpec], shared: &Shared) -> Vec<BatchAck> {
-    let start = telemetry::clock_start();
-    let acks: Vec<BatchAck> = specs
-        .iter()
-        .map(|spec| {
-            if !(spec.device_pos.x.is_finite()
-                && spec.device_pos.y.is_finite()
-                && spec.device_facing.radians().is_finite())
-            {
-                BatchAck::rejected(ErrCode::BadTask, "non-finite position/facing")
-            } else {
-                match shared.shard.submit(*spec) {
-                    Ok((id, release)) => BatchAck::Ok {
-                        task: u64::from(id.0),
-                        release: release as u64,
-                    },
-                    Err(e) => {
-                        let (code, message) = shard_err_parts(e);
-                        BatchAck::Err {
-                            code: code.as_str().to_string(),
-                            message,
-                        }
-                    }
-                }
-            }
-        })
-        .collect();
-    let rejected = acks
-        .iter()
-        .filter(|ack| matches!(ack, BatchAck::Err { .. }))
-        .count();
-    shared
-        .telemetry
-        .observe_batch(specs.len(), rejected, telemetry::elapsed_us(start));
-    acks
-}
-
-/// Parses and executes one request; returns the reply and whether the
-/// connection should close.
-///
-/// Execution runs under [`catching`]: a panic anywhere in a handler (or in
-/// the engine underneath it) becomes a structured `ERR internal` reply
-/// instead of killing the connection loop. That is a backstop, not a
-/// license — lint rule P1 keeps panicking constructs out of this file.
-fn dispatch<R: BufRead>(
-    line: &str,
-    reader: &mut R,
-    shared: &Shared,
-) -> std::io::Result<(Reply, bool)> {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(reason) => {
-            shared.telemetry.count_error(ErrCode::BadRequest);
-            return Ok((Reply::Err(ErrCode::BadRequest, reason), false));
-        }
-    };
-    let opcode = request.opcode();
-    let start = telemetry::clock_start();
-    let result = catching(AssertUnwindSafe(|| execute(request, reader, shared)));
-    if let Ok((reply, _)) = &result {
-        shared
-            .telemetry
-            .observe_request(opcode, telemetry::elapsed_us(start), reply);
-    }
-    result
-}
-
-/// Runs one request handler, converting a panic into an `ERR internal`
-/// reply carrying the panic message. The engine mutex (parking_lot, no
-/// poisoning) unlocks during unwind, so the daemon keeps serving; a panic
-/// mid-mutation can leave the engine in an unspecified (still
-/// memory-safe) state, which the reply tells the client to `RESTORE` away.
-pub(crate) fn catching<F>(f: F) -> std::io::Result<(Reply, bool)>
-where
-    F: FnOnce() -> std::io::Result<(Reply, bool)> + std::panic::UnwindSafe,
-{
-    match catch_unwind(f) {
-        Ok(result) => result,
-        Err(payload) => {
-            let context = if let Some(s) = payload.downcast_ref::<&str>() {
-                s
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.as_str()
-            } else {
-                "non-string panic payload"
-            };
-            Ok((
-                Reply::Err(
-                    ErrCode::Internal,
-                    format!("request handler panicked: {context}"),
-                ),
-                false,
-            ))
-        }
-    }
+    }));
+    running.serve("haste-service-accept", listener, config.worker_threads)?;
+    Ok(ServerHandle { addr, running })
 }
 
 /// Maps a structured shard failure onto the wire error space.
@@ -466,11 +235,9 @@ fn execute<R: BufRead>(
     let reply = match request {
         Request::Hello(version) => hello_reply(&version, 1, (1, 1)),
         Request::Load(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated LOAD payload".to_string()),
-                    true,
-                ));
+            let payload = match read_payload(reader, count, &shared.shutdown, "LOAD")? {
+                Ok(payload) => payload,
+                Err(refusal) => return Ok((refusal, true)),
             };
             match shared.shard.load_text(&payload) {
                 Ok(info) => Reply::Ok(format!(
@@ -525,47 +292,12 @@ fn execute<R: BufRead>(
             Err(e) => shard_err(e),
         },
         Request::Export => {
-            // The typed registry plus the engine-alias projection of the
-            // current status (absent before `LOAD` — a fresh daemon still
+            // The typed registry plus the engine families of the current
+            // status (absent before `LOAD` — a fresh daemon still
             // exposes its request metrics).
             let snap = shared.telemetry.export(shared.shard.status().ok().as_ref());
             Reply::Data(snap.render())
         }
-        Request::Metrics => match shared.shard.status() {
-            Err(e) => shard_err(e),
-            Ok(status) => {
-                let mut payload = String::new();
-                for (key, value) in [
-                    ("clock", status.clock.to_string()),
-                    ("tasks", status.tasks.to_string()),
-                    ("staged", status.staged.to_string()),
-                    ("admitted", status.admitted.to_string()),
-                    ("rejected", status.rejected.to_string()),
-                    ("pending", status.pending.to_string()),
-                    ("threads", status.threads.to_string()),
-                    ("oracle_marginals", status.oracle_marginals.to_string()),
-                    ("oracle_commits", status.oracle_commits.to_string()),
-                    ("messages", status.messages.to_string()),
-                    ("rounds", status.rounds.to_string()),
-                    ("instance_build_us", status.instance_build_us.to_string()),
-                    ("greedy_us", status.greedy_us.to_string()),
-                    ("rounding_us", status.rounding_us.to_string()),
-                    ("coverage_build_us", status.coverage_build_us.to_string()),
-                    // Supervisor counters: the single-engine daemon has no
-                    // child processes, so these are identically zero; the
-                    // router reports live values under the same keys.
-                    ("shard_restarts", 0.to_string()),
-                    ("shard_replays", 0.to_string()),
-                    ("shards_down", 0.to_string()),
-                ] {
-                    payload.push_str(key);
-                    payload.push(' ');
-                    payload.push_str(&value);
-                    payload.push('\n');
-                }
-                Reply::Data(payload)
-            }
-        },
         Request::Shards => match shared.shard.status() {
             Err(e) => shard_err(e),
             // The single-engine daemon is its own one-shard topology:
@@ -586,11 +318,9 @@ fn execute<R: BufRead>(
             Err(e) => shard_err(e),
         },
         Request::Restore(count) => {
-            let Some(payload) = read_payload(reader, count, &shared.shutdown)? else {
-                return Ok((
-                    Reply::Err(ErrCode::BadRequest, "truncated RESTORE payload".to_string()),
-                    true,
-                ));
+            let payload = match read_payload(reader, count, &shared.shutdown, "RESTORE")? {
+                Ok(payload) => payload,
+                Err(refusal) => return Ok((refusal, true)),
             };
             match shared.shard.restore_text(&payload) {
                 Ok(info) => Reply::Ok(format!("slot={} open={}", info.clock, u8::from(info.open))),
@@ -622,6 +352,8 @@ fn execute<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::{catching, dispatch};
+    use std::panic::AssertUnwindSafe;
 
     fn fresh_shared() -> Shared {
         Shared {
@@ -665,15 +397,15 @@ mod tests {
     fn dispatch_replies_structurally_off_a_socketless_reader() {
         let shared = fresh_shared();
         let mut reader = std::io::Cursor::new(Vec::<u8>::new());
-        let (reply, close) = dispatch("NOPE 1 2", &mut reader, &shared).unwrap();
+        let (reply, close) = dispatch(&shared, "NOPE 1 2", &mut reader, &()).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::BadRequest, _)));
         assert!(!close);
-        let (reply, close) = dispatch("SNAPSHOT", &mut reader, &shared).unwrap();
+        let (reply, close) = dispatch(&shared, "SNAPSHOT", &mut reader, &()).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::NoScenario, _)));
         assert!(!close);
         // A truncated LOAD payload is the one bad-request that also closes
         // the connection: the stream is desynchronized beyond recovery.
-        let (reply, close) = dispatch("LOAD 3", &mut reader, &shared).unwrap();
+        let (reply, close) = dispatch(&shared, "LOAD 3", &mut reader, &()).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::BadRequest, _)));
         assert!(close);
     }
@@ -702,9 +434,9 @@ mod tests {
     fn export_renders_parseable_exposition_with_request_counts() {
         let shared = fresh_shared();
         let mut reader = std::io::Cursor::new(Vec::<u8>::new());
-        let (reply, _) = dispatch("CLOCK?", &mut reader, &shared).unwrap();
+        let (reply, _) = dispatch(&shared, "CLOCK?", &mut reader, &()).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::NoScenario, _)));
-        let (reply, _) = dispatch("EXPORT?", &mut reader, &shared).unwrap();
+        let (reply, _) = dispatch(&shared, "EXPORT?", &mut reader, &()).unwrap();
         let payload = match reply {
             Reply::Data(payload) => payload,
             other => panic!("expected DATA, got {other:?}"),
@@ -725,12 +457,12 @@ mod tests {
     fn shards_query_reports_the_single_engine_as_shard_zero() {
         let shared = fresh_shared();
         let mut reader = std::io::Cursor::new(Vec::<u8>::new());
-        let (reply, _) = dispatch("SHARDS?", &mut reader, &shared).unwrap();
+        let (reply, _) = dispatch(&shared, "SHARDS?", &mut reader, &()).unwrap();
         assert!(matches!(reply, Reply::Err(ErrCode::NoScenario, _)));
         let scenario = "params 10000 40 20 1 1\ngrid 60 6\ndelays 0.083333 1\n\
                         charger 0 0 0\ntask 0 8 0 3.14159 0 6 500 1";
         shared.shard.load_text(scenario).unwrap();
-        let (reply, _) = dispatch("SHARDS?", &mut reader, &shared).unwrap();
+        let (reply, _) = dispatch(&shared, "SHARDS?", &mut reader, &()).unwrap();
         match reply {
             Reply::Data(payload) => {
                 assert!(

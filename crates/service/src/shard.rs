@@ -6,8 +6,8 @@
 //! owned equally well by the plain daemon ([`crate::serve`]) or N at a
 //! time by the sharded router ([`crate::serve_router`]). All methods are
 //! structured (typed results, no wire formatting): the protocol layer that
-//! calls them decides how replies are spelled, which keeps the METRICS?
-//! key list and float formatting in the lint-audited serialization files.
+//! calls them decides how replies are spelled, which keeps the metric
+//! families and float formatting in the lint-audited serialization files.
 //!
 //! Thread model: every method locks the shard's own mutex for the duration
 //! of the call, so concurrent callers serialize per shard — submissions
@@ -72,7 +72,7 @@ impl ShardHealth {
     }
 }
 
-/// One shard's full METRICS? row — every counter the wire protocol
+/// One shard's full status — every engine counter the wire protocol
 /// reports, in engine-native numeric form so a router can aggregate
 /// before formatting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -338,7 +338,7 @@ impl Shard {
         }
     }
 
-    /// The full METRICS? row.
+    /// The full engine status (`SHARDS?` line plus `haste_engine_*` families).
     pub fn status(&self) -> Result<ShardStatus, ShardError> {
         match self.engine.lock().as_ref() {
             None => Err(ShardError::NoScenario),

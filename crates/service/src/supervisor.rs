@@ -48,6 +48,7 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::Duration;
 
 use haste_distributed::{OnlineConfig, TaskSpec};
+use haste_metrics::{Snapshot, Value};
 use haste_model::{Scenario, Schedule, TaskId};
 use parking_lot::Mutex;
 
@@ -833,14 +834,14 @@ impl RemoteShard {
 
     /// `(status, health, restarts, replayed)` — fetched fresh when the
     /// shard is up (and cached), the last observation while it is down.
-    /// Infallible so `SHARDS?`/`METRICS?` keep answering in degraded mode.
+    /// Infallible so `SHARDS?`/`EXPORT?` keep answering in degraded mode.
     pub(crate) fn status_view(&self) -> (ShardStatus, ShardHealth, u64, u64) {
         let mut locked = self.inner.lock();
         let inner = &mut *locked;
         // haste-lint: allow(L2) — deadline-bounded reconnect; status must not interleave with a journaled request on the same cell
         if inner.down.is_none() && self.guard(inner).is_ok() && self.ensure_conn(inner).is_ok() {
             let fetched = match inner.conn.as_mut() {
-                // haste-lint: allow(L2) — deadline-bounded STATUS?; a timeout downgrades to cached state instead of wedging METRICS?
+                // haste-lint: allow(L2) — deadline-bounded STATUS?; a timeout downgrades to cached state instead of wedging the scrape
                 Some(conn) => fetch_status(conn),
                 None => Err(ClientError::Protocol("no connection".to_string())),
             };
@@ -850,7 +851,7 @@ impl RemoteShard {
                 // a transport failure is a crash like any other.
                 Err(ClientError::Server { .. }) => {}
                 Err(e) => {
-                    let _ = self.crash(inner, "METRICS?", &e);
+                    let _ = self.crash(inner, "EXPORT?", &e);
                 }
             }
         }
@@ -1001,38 +1002,37 @@ fn replay_into(
     Ok(())
 }
 
-/// Assembles a full [`ShardStatus`] from a child's `METRICS?` and
-/// `SHARDS?` replies.
+/// Assembles a full [`ShardStatus`] from a child's `SHARDS?` reply (the
+/// open flag; a structured error before `LOAD`) and the `haste_engine_*`
+/// families of its `EXPORT?` exposition.
 fn fetch_status(conn: &mut Client) -> Result<ShardStatus, ClientError> {
-    let metrics = conn.metrics()?;
-    let value = |key: &str| -> u128 {
-        metrics
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse::<u128>().ok())
-            .unwrap_or_default()
-    };
-    let mut status = ShardStatus {
-        clock: value("clock") as usize,
-        open: false,
-        tasks: value("tasks") as usize,
-        staged: value("staged") as usize,
-        admitted: value("admitted") as u64,
-        rejected: value("rejected") as u64,
-        pending: value("pending") as usize,
-        threads: value("threads") as usize,
-        oracle_marginals: value("oracle_marginals") as u64,
-        oracle_commits: value("oracle_commits") as u64,
-        messages: value("messages") as u64,
-        rounds: value("rounds") as u64,
-        instance_build_us: value("instance_build_us"),
-        greedy_us: value("greedy_us"),
-        rounding_us: value("rounding_us"),
-        coverage_build_us: value("coverage_build_us"),
-    };
     let shards = conn.shards()?;
-    status.open = shards.first().map(|s| s.open) == Some(true);
-    Ok(status)
+    let export = Snapshot::parse(&conn.export()?)
+        .map_err(|e| ClientError::Protocol(format!("child exposition: {e}")))?;
+    let value = |family: &str| -> u128 {
+        match export.get(family, &[]) {
+            Some(Value::Counter(v) | Value::Gauge(v)) => *v,
+            _ => 0,
+        }
+    };
+    Ok(ShardStatus {
+        clock: value("haste_engine_clock_slots") as usize,
+        open: shards.first().map(|s| s.open) == Some(true),
+        tasks: value("haste_engine_active_tasks") as usize,
+        staged: value("haste_engine_staged_tasks") as usize,
+        admitted: value("haste_engine_admitted_total") as u64,
+        rejected: value("haste_engine_rejected_total") as u64,
+        pending: value("haste_engine_pending_tasks") as usize,
+        threads: value("haste_engine_worker_threads") as usize,
+        oracle_marginals: value("haste_engine_oracle_marginals_total") as u64,
+        oracle_commits: value("haste_engine_oracle_commits_total") as u64,
+        messages: value("haste_engine_negotiation_messages_total") as u64,
+        rounds: value("haste_engine_negotiation_rounds_total") as u64,
+        instance_build_us: value("haste_engine_instance_build_us_total"),
+        greedy_us: value("haste_engine_greedy_us_total"),
+        rounding_us: value("haste_engine_rounding_us_total"),
+        coverage_build_us: value("haste_engine_coverage_build_us_total"),
+    })
 }
 
 // ----------------------------------------------------------------------

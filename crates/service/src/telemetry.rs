@@ -1,7 +1,7 @@
 //! The service-side instrumentation layer: pre-built handles into a
 //! [`haste_metrics::Registry`] for the request hot path, the bridge that
 //! projects engine [`ShardStatus`] fields onto their cataloged
-//! `haste_engine_*` alias families, and the supervisor's per-cell
+//! `haste_engine_*` families, and the supervisor's per-cell
 //! counters.
 //!
 //! Handle acquisition (which takes the registry mutex) happens once at
@@ -21,29 +21,8 @@ use std::time::Instant;
 
 use haste_metrics::{Counter, Histogram, Registry, Snapshot};
 
-use crate::proto::{ErrCode, Reply};
+use crate::proto::{ErrCode, Reply, OPCODES};
 use crate::shard::ShardStatus;
-
-/// Every wire directive, for pre-building per-opcode series handles.
-/// Must stay in sync with [`crate::proto::Request::opcode`].
-const OPCODES: [&str; 16] = [
-    "HELLO",
-    "LOAD",
-    "SUBMIT",
-    "TICK",
-    "CLOCK?",
-    "SCHEDULE?",
-    "UTILITY?",
-    "PARTS?",
-    "METRICS?",
-    "EXPORT?",
-    "SHARDS?",
-    "TENANT",
-    "RESHARD",
-    "SNAPSHOT",
-    "RESTORE",
-    "BYE",
-];
 
 /// Starts a latency stopwatch. The one sanctioned monotonic-clock read of
 /// the request path; the elapsed time feeds observability histograms and
@@ -133,21 +112,22 @@ impl Telemetry {
     }
 
     /// Freezes the registry, folding an engine status (when one is
-    /// available) into the cataloged `haste_engine_*` alias families.
+    /// available) into the cataloged `haste_engine_*` families.
     pub(crate) fn export(&self, status: Option<&ShardStatus>) -> Snapshot {
         let mut snap = self.registry.snapshot();
         if let Some(status) = status {
-            engine_alias_snapshot(status, &mut snap);
+            engine_snapshot(status, &mut snap);
         }
         snap
     }
 }
 
-/// Projects a [`ShardStatus`] onto the `haste_engine_*` families that
-/// alias the legacy `METRICS?` keys. The `u128` phase timers go in
+/// Projects a [`ShardStatus`] onto the `haste_engine_*` families (one per
+/// status counter; the supervisor reads child engines back through
+/// them). The `u128` phase timers go in
 /// untruncated; merge semantics (sum vs max across shards) come from the
 /// catalog at merge time.
-pub(crate) fn engine_alias_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
+pub(crate) fn engine_snapshot(status: &ShardStatus, snap: &mut Snapshot) {
     snap.set_gauge("haste_engine_clock_slots", &[], status.clock as u128);
     snap.set_gauge("haste_engine_active_tasks", &[], status.tasks as u128);
     snap.set_gauge("haste_engine_staged_tasks", &[], status.staged as u128);
@@ -357,13 +337,13 @@ mod tests {
             coverage_build_us: 400,
         };
         let mut snap = Snapshot::new();
-        engine_alias_snapshot(&status, &mut snap);
+        engine_snapshot(&status, &mut snap);
         // Every cataloged haste_engine_* family must be populated.
         for spec in haste_metrics::catalog::CATALOG {
             if spec.name.starts_with("haste_engine_") {
                 assert!(
                     snap.get(spec.name, &[]).is_some(),
-                    "alias family `{}` missing from the projection",
+                    "engine family `{}` missing from the projection",
                     spec.name
                 );
             }

@@ -202,6 +202,39 @@ fn out_of_process_router_matches_single_engine_bit_for_bit() {
     }
 }
 
+/// The supervisor reads each child's engine counters back from the
+/// child's `EXPORT?` exposition, so an out-of-process router's merged
+/// `haste_engine_*` families must equal an in-process router's after the
+/// same session. The wall-clock phase timers (`*_us_total`) are the only
+/// engine families not compared: they are measurements, not state.
+#[test]
+fn out_of_process_engine_families_match_in_process() {
+    let scenario = partitionable_scenario(63);
+    let trace = submission_trace(64, 24);
+    let engine_families = |config: RouterConfig| {
+        let router = serve_router(config).unwrap();
+        let mut client = Client::connect(router.addr()).unwrap();
+        client.load(&scenario).unwrap();
+        drive(&mut client, &trace, 0);
+        let export = haste_metrics::Snapshot::parse(&client.export().unwrap()).unwrap();
+        client.bye().unwrap();
+        router.shutdown();
+        haste_metrics::catalog::CATALOG
+            .iter()
+            .filter(|spec| {
+                spec.name.starts_with("haste_engine_") && !spec.name.ends_with("_us_total")
+            })
+            .map(|spec| (spec.name, export.get(spec.name, &[]).cloned()))
+            .collect::<Vec<_>>()
+    };
+    let in_process = engine_families(in_process_router_config());
+    assert!(
+        in_process.iter().all(|(_, value)| value.is_some()),
+        "{in_process:?}"
+    );
+    assert_eq!(engine_families(process_router_config(None)), in_process);
+}
+
 #[test]
 fn killed_shard_replays_from_checkpoint_and_stays_bit_identical() {
     let scenario = partitionable_scenario(71);

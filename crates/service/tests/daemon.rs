@@ -4,7 +4,7 @@
 use haste_distributed::{replay_trace, OnlineEngine, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{Charger, ChargingParams, Scenario, TimeGrid};
-use haste_service::{loadgen, serve, Client, ServerConfig};
+use haste_service::{loadgen, serve, serve_router, Client, RouterConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,12 +226,28 @@ fn concurrent_sessions_share_one_engine() {
 
 /// Rule-P1 regression guard: every malformed-but-parseable request must
 /// produce a structured `ERR <code>` reply, and no sequence of them may
-/// kill the daemon's connection loop. Raw TCP (no `Client`) so the test
-/// controls the exact wire bytes, hostile values included.
+/// kill the connection loop — of the single daemon and of the router,
+/// which share it. Raw TCP (no `Client`) so the test controls the exact
+/// wire bytes, hostile values included. Input past the 16 MiB cap is the
+/// one refusal that also closes the connection.
 #[test]
 fn malformed_sequences_cannot_kill_the_connection() {
-    use std::io::{BufRead, BufReader, Write};
+    let server = serve(ServerConfig::default()).unwrap();
+    hostile_session(server.addr());
+    server.shutdown();
+    let router = serve_router(RouterConfig::default()).unwrap();
+    hostile_session(router.addr());
+    router.shutdown();
+}
+
+/// The malformed-input table of [`malformed_sequences_cannot_kill_the_connection`],
+/// run against one endpoint.
+fn hostile_session(addr: std::net::SocketAddr) {
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
+
+    /// The v3 frame cap, which also bounds text lines and payloads.
+    const MAX_FRAME: usize = 16 * 1024 * 1024;
 
     /// Sends `payload` verbatim and reads back one reply line.
     fn roundtrip(
@@ -255,8 +271,22 @@ fn malformed_sequences_cannot_kill_the_connection() {
         fields.next().unwrap_or_default().to_string()
     }
 
-    let server = serve(ServerConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    /// Sends `payload` on a fresh connection; the reply must be
+    /// `ERR bad-request`, followed by the endpoint closing the connection.
+    fn refused_and_closed(addr: std::net::SocketAddr, payload: &[u8]) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream.write_all(payload).unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(code_of(reply.trim_end()), "bad-request", "{reply}");
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection stayed open after the refusal");
+    }
+
+    let mut stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut send = |payload: String| roundtrip(&mut stream, &mut reader, &payload);
 
@@ -274,6 +304,8 @@ fn malformed_sequences_cannot_kill_the_connection() {
         "bad-request"
     );
     assert_eq!(code_of(&send("CLOCK? noise\n".into())), "bad-request");
+    // The retired legacy metrics verb is an unknown directive now.
+    assert_eq!(code_of(&send("METRICS?\n".into())), "bad-request");
     assert_eq!(code_of(&send("SCHEDULE?\n".into())), "no-scenario");
 
     // LOAD with an unparsable one-line scenario document.
@@ -320,7 +352,12 @@ fn malformed_sequences_cannot_kill_the_connection() {
     assert!(send("TICK\n".into()).starts_with("OK slot=1"));
     assert!(send("UTILITY?\n".into()).starts_with("OK utility="));
     assert_eq!(send("BYE\n".into()), "OK bye");
-    server.shutdown();
+
+    // Unbounded input is refused at the cap, never buffered: a line of
+    // MAX_FRAME bytes with no newline in sight, and a LOAD announcing more
+    // lines than could fit in MAX_FRAME bytes.
+    refused_and_closed(addr, &vec![b'x'; MAX_FRAME]);
+    refused_and_closed(addr, b"LOAD 18446744073709551615\n");
 }
 
 #[test]
