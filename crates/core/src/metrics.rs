@@ -1,11 +1,12 @@
 //! Per-solve instrumentation: oracle-call counters and phase timings.
 //!
-//! Counters come from the optimizers' [`OptimizerStats`] and are exact and
-//! thread-count-invariant (they are computed from loop bounds, not sampled).
-//! Timings are wall-clock per solver phase; the coverage-build phase happens
-//! outside [`crate::solve_offline`] (callers build the [`CoverageMap`] once
-//! and reuse it), so solvers leave it zero and the bench binaries fill it in
-//! when they time the build themselves.
+//! Oracle counters come from the optimizers' [`OptimizerStats`], the
+//! coverage-pair counter from the online engine's coverage map; all are
+//! exact and thread-count-invariant (they are computed from loop bounds,
+//! not sampled). Timings are wall-clock per solver phase; the
+//! coverage-build phase happens outside [`crate::solve_offline`] (callers
+//! build the [`CoverageMap`] once and reuse it), so solvers leave it zero
+//! and the bench binaries fill it in when they time the build themselves.
 //!
 //! [`CoverageMap`]: haste_model::CoverageMap
 
@@ -24,6 +25,9 @@ pub struct SolverMetrics {
     pub oracle_marginals: u64,
     /// Commit operations applied to optimizer states.
     pub oracle_commits: u64,
+    /// Charger–task chargeability tests behind the coverage map (filled in
+    /// by the online engine, which extends its map as tasks arrive).
+    pub coverage_pairs: u64,
     /// Wall-clock spent building the chargeability [`haste_model::CoverageMap`]
     /// (zero unless the caller timed it; see module docs).
     pub coverage_build: Duration,
@@ -57,6 +61,7 @@ impl SolverMetrics {
         self.threads = other.threads.max(self.threads);
         self.oracle_marginals += other.oracle_marginals;
         self.oracle_commits += other.oracle_commits;
+        self.coverage_pairs += other.coverage_pairs;
         self.coverage_build += other.coverage_build;
         self.instance_build += other.instance_build;
         self.greedy += other.greedy;
@@ -96,6 +101,7 @@ mod tests {
             threads: 1,
             oracle_marginals: 10,
             oracle_commits: 2,
+            coverage_pairs: 3,
             greedy: Duration::from_millis(5),
             ..SolverMetrics::default()
         };
@@ -103,6 +109,7 @@ mod tests {
             threads: 4,
             oracle_marginals: 30,
             oracle_commits: 4,
+            coverage_pairs: 5,
             instance_build: Duration::from_millis(7),
             ..SolverMetrics::default()
         };
@@ -110,6 +117,7 @@ mod tests {
         assert_eq!(a.threads, 4);
         assert_eq!(a.oracle_marginals, 40);
         assert_eq!(a.oracle_commits, 6);
+        assert_eq!(a.coverage_pairs, 8);
         assert_eq!(a.total_time(), Duration::from_millis(12));
     }
 

@@ -120,9 +120,12 @@ pub struct OnlineEngine {
     /// Pre-loaded future releases (from a scenario file), stably sorted by
     /// release slot; injected into `scenario` when their slot opens.
     staged: VecDeque<Task>,
+    /// Coverage over the arrived tasks. Append-only: extended when tasks
+    /// arrive, never rebuilt (only [`restore`](OnlineEngine::restore)
+    /// builds it in full).
     coverage: CoverageMap,
-    /// How many tasks `coverage` was built over (lazy rebuild watermark).
-    coverage_tasks: usize,
+    /// The neighbor graph of `coverage`, extended alongside it.
+    graph: NeighborGraph,
     config: OnlineConfig,
     max_pending: usize,
     /// Submissions admitted into the current open slot.
@@ -151,9 +154,10 @@ impl OnlineEngine {
         let threads = haste_parallel::resolve_threads(config.threads);
         let n = scenario.num_chargers();
         let num_slots = scenario.grid.num_slots;
+        let coverage = CoverageMap::build(&scenario);
         let mut engine = OnlineEngine {
-            coverage: CoverageMap::build(&scenario),
-            coverage_tasks: 0,
+            graph: NeighborGraph::build(&coverage),
+            coverage,
             scenario,
             staged: staged.into(),
             config,
@@ -187,14 +191,19 @@ impl OnlineEngine {
         }
     }
 
-    /// Rebuilds the coverage map if tasks arrived since the last build.
+    /// Extends the coverage map and the neighbor graph by the tasks that
+    /// arrived since the last call. Tasks are only ever appended, so each
+    /// charger–task pair is tested once, when its task arrives, and the
+    /// result equals a full build over the arrived tasks bit for bit.
     fn refresh_coverage(&mut self) {
-        if self.coverage_tasks != self.scenario.num_tasks() {
+        let from = self.coverage.num_tasks();
+        if from != self.scenario.num_tasks() {
             // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
             let start = Instant::now();
-            self.coverage = CoverageMap::build(&self.scenario);
+            let pairs = self.coverage.extend(&self.scenario);
+            self.graph.extend(&self.coverage, from);
             self.metrics.coverage_build += start.elapsed();
-            self.coverage_tasks = self.scenario.num_tasks();
+            self.metrics.coverage_pairs += pairs as u64;
         }
     }
 
@@ -259,12 +268,11 @@ impl OnlineEngine {
             .collect();
         if !arrived_now.is_empty() {
             self.refresh_coverage();
-            let graph = NeighborGraph::build(&self.coverage);
             let threads = self.metrics.threads;
             replan_event(
                 &self.scenario,
                 &self.coverage,
-                &graph,
+                &self.graph,
                 &self.config,
                 &mut self.schedule,
                 ReplanEvent {
@@ -297,18 +305,13 @@ impl OnlineEngine {
         self.refresh_coverage();
         // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
         let eval_start = Instant::now();
-        let report = evaluate(
-            &self.scenario,
-            &self.coverage,
-            &self.schedule,
-            EvalOptions::default(),
-        );
-        let relaxed = evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule);
+        let report = self.evaluate();
+        let relaxed_value = self.relaxed_value();
         self.metrics.p1_eval += eval_start.elapsed();
         OnlineResult {
             schedule: self.schedule,
             report,
-            relaxed_value: relaxed.total_utility,
+            relaxed_value,
             stats: self.stats,
             metrics: self.metrics,
         }
@@ -326,10 +329,16 @@ impl OnlineEngine {
         )
     }
 
+    /// HASTE-R (relaxed, no switching delay) evaluation of the current
+    /// schedule over the engine's own coverage map.
+    pub fn relaxed_report(&mut self) -> EvalReport {
+        self.refresh_coverage();
+        evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule)
+    }
+
     /// HASTE-R (relaxed, no switching delay) value of the current schedule.
     pub fn relaxed_value(&mut self) -> f64 {
-        self.refresh_coverage();
-        evaluate_relaxed(&self.scenario, &self.coverage, &self.schedule).total_utility
+        self.relaxed_report().total_utility
     }
 
     /// The current open slot (slots `0..clock()` are closed).
@@ -410,7 +419,9 @@ impl OnlineEngine {
     /// [`restore`](OnlineEngine::restore) reconstructs an engine that
     /// continues bit-identically (floats use shortest-roundtrip formatting,
     /// which is lossless). Phase *timings* reset to zero on restore — they
-    /// are wall-clock measurements, not algorithm state. Charging
+    /// are wall-clock measurements, not algorithm state — and the
+    /// coverage-pair counter restarts at the restore's full build
+    /// (`n · m`, what the live engine counted for the same tasks). Charging
     /// parameters beyond the five the scenario text carries reset to
     /// simulation defaults, mirroring `model::io`.
     pub fn snapshot(&self) -> String {
@@ -631,11 +642,12 @@ impl OnlineEngine {
             });
         }
         let threads = haste_parallel::resolve_threads(config.threads);
+        // The one full build: the restored scenario's coverage and graph.
         let coverage = CoverageMap::build(&scenario);
-        let coverage_tasks = scenario.num_tasks();
+        let coverage_pairs = (scenario.num_chargers() * scenario.num_tasks()) as u64;
         Ok(OnlineEngine {
+            graph: NeighborGraph::build(&coverage),
             coverage,
-            coverage_tasks,
             scenario,
             staged,
             config,
@@ -647,6 +659,7 @@ impl OnlineEngine {
                 threads,
                 oracle_marginals: stats.oracle_marginals,
                 oracle_commits: stats.oracle_commits,
+                coverage_pairs,
                 ..SolverMetrics::default()
             },
             stats,
@@ -960,6 +973,58 @@ mod tests {
         );
         assert_eq!(a.stats.messages, b.stats.messages);
         assert_eq!(a.stats.per_slot_messages, b.stats.per_slot_messages);
+    }
+
+    #[test]
+    fn coverage_pairs_grow_linearly_with_tasks() {
+        let (n, m) = (5, 12);
+        let s = random_scenario(19, n, m, 1);
+        let mut releases: Vec<usize> = s.tasks.iter().map(|t| t.release_slot).collect();
+        releases.sort_unstable();
+        releases.dedup();
+        assert!(releases.len() > 1, "tasks must arrive over several slots");
+        // What rebuilding over every arrived task at each arrival slot cost.
+        let rebuild_pairs: usize = releases
+            .iter()
+            .map(|&t| n * s.tasks.iter().filter(|task| task.release_slot <= t).count())
+            .sum();
+        let config = OnlineConfig::default();
+        let streamed = stream(&s, &config).finish();
+        assert_eq!(streamed.metrics.coverage_pairs, (n * m) as u64);
+        assert!(streamed.metrics.coverage_pairs < rebuild_pairs as u64);
+        let replayed = replay_trace(s, config);
+        assert_eq!(replayed.metrics.coverage_pairs, (n * m) as u64);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_live_coverage_and_graph() {
+        let s = random_scenario(29, 6, 14, 1);
+        let mut base = s.clone();
+        base.tasks.clear();
+        let mut live = OnlineEngine::new(base, OnlineConfig::default(), usize::MAX);
+        let mut by_release: Vec<&Task> = s.tasks.iter().collect();
+        by_release.sort_by_key(|t| t.release_slot);
+        let mut next = 0;
+        // Cut the session at every slot boundary: the restore's one full
+        // build must equal what the live engine extended arrival by arrival.
+        loop {
+            while next < by_release.len() && by_release[next].release_slot == live.clock() {
+                live.submit(spec_of(by_release[next])).unwrap();
+                next += 1;
+            }
+            if live.tick().is_none() {
+                break;
+            }
+            let restored = OnlineEngine::restore(&live.snapshot()).unwrap();
+            assert_eq!(restored.coverage, live.coverage);
+            assert_eq!(restored.graph, live.graph);
+            assert_eq!(
+                restored.metrics().coverage_pairs,
+                live.metrics().coverage_pairs
+            );
+        }
+        assert_eq!(live.coverage, CoverageMap::build(live.scenario()));
+        assert_eq!(live.scenario().num_tasks(), s.num_tasks());
     }
 
     #[test]

@@ -2025,15 +2025,19 @@ fn merged_schedule(tenant: &TenantCore) -> Result<Schedule, Reply> {
 /// exact addend sequence of a single engine's evaluator (see module
 /// docs). `UTILITY?` sums this; `PARTS?` serves it verbatim. Task owners
 /// are derived from the recorded arrival *positions* against the current
-/// partition, so the walk is correct across any number of reshards.
+/// partition, so the walk is correct across any number of reshards. The
+/// shards are read concurrently, one worker each, like `tick_lockstep`;
+/// the merge itself runs in shard order afterwards.
 fn merged_parts(tenant: &TenantCore) -> Result<UtilityParts, Reply> {
     let Some(partition) = tenant.partition.as_ref() else {
         return Err(shard_err(crate::shard::ShardError::NoScenario));
     };
-    let mut parts = Vec::with_capacity(tenant.shards.len());
-    for shard in &tenant.shards {
-        parts.push(shard.utility_parts().map_err(slot_err)?);
-    }
+    let parts = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
+        shard.utility_parts()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .map_err(slot_err)?;
     let mut cursors = vec![0usize; tenant.shards.len()];
     let mut full = Vec::with_capacity(tenant.order.len());
     let mut relaxed = Vec::with_capacity(tenant.order.len());
