@@ -1,7 +1,8 @@
-//! End-to-end offline solve benchmark on the paper's default setup
-//! (`n = 50`, `m = 200`): wall-clock of the full pipeline at 1 thread vs.
-//! `--threads T`, with the solver's phase metrics, plus a bit-identity
-//! check that the parallel path returns exactly the sequential solution.
+//! End-to-end solve benchmark on the paper's default setup (`n = 50`,
+//! `m = 200`): wall-clock of the offline pipeline (Alg. 2) and of the
+//! online event loop (Alg. 3) at 1 thread vs. `--threads T`, with the
+//! solvers' phase metrics, plus a bit-identity check that the parallel
+//! path returns exactly the sequential solution.
 
 use std::time::Instant;
 
@@ -62,5 +63,46 @@ fn main() {
             "bit-identical across thread counts; speedup {:.2}x at {threads} threads",
             base_wall.as_secs_f64() / par_wall.as_secs_f64().max(1e-12)
         );
+    }
+
+    // The online event loop over the same scenario (releases as drawn).
+    let coverage = CoverageMap::build(&scenario);
+    let mut online = Vec::new();
+    for t in [1usize, threads] {
+        let start = Instant::now();
+        let result = solve_online(
+            &scenario,
+            &coverage,
+            &OnlineConfig {
+                threads: t,
+                ..OnlineConfig::default()
+            },
+        );
+        let wall = start.elapsed();
+        println!(
+            "online threads={t}: solve {:.1} ms, relaxed value {:.6}, {} messages",
+            wall.as_secs_f64() * 1e3,
+            result.relaxed_value,
+            result.stats.messages
+        );
+        println!("  {}", result.metrics);
+        online.push(result);
+        if threads == 1 {
+            break;
+        }
+    }
+    if let [base, par] = &online[..] {
+        assert_eq!(
+            base.schedule, par.schedule,
+            "online threads={threads} produced a different schedule"
+        );
+        assert_eq!(
+            base.relaxed_value.to_bits(),
+            par.relaxed_value.to_bits(),
+            "online threads={threads} produced a different value"
+        );
+        assert_eq!(base.stats.messages, par.stats.messages);
+        assert_eq!(base.metrics.policy_segments, par.metrics.policy_segments);
+        println!("online bit-identical across thread counts");
     }
 }

@@ -15,9 +15,10 @@
 //! (tasks become actionable `τ` slots after release).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use haste_geometry::Angle;
-use haste_model::{ChargerId, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
+use haste_model::{CandidateTask, ChargerId, CoverageMap, Scenario, Schedule, Slot, UtilityFn};
 use haste_submodular::{PartitionedObjective, Selection};
 
 use crate::dominant::{extract_dominant_sets, DominantSet};
@@ -61,7 +62,8 @@ pub struct InstanceOptions {
     pub disabled_chargers: Option<Vec<bool>>,
     /// Worker threads for the per-charger dominant-set extraction (`None`
     /// or `Some(1)` = sequential, `Some(0)` = auto-detect via
-    /// `haste_parallel::default_threads`). Chargers are independent during
+    /// `haste_parallel::default_threads`). Builds with little extraction
+    /// left to do run inline regardless. Chargers are independent during
     /// extraction and families are assembled in charger order afterwards,
     /// so the instance is identical for every thread count.
     pub threads: Option<usize>,
@@ -77,22 +79,225 @@ pub struct Policy {
     pub deliveries: Vec<(usize, f64)>,
 }
 
+/// Minimum derivation work (candidates × slots still to derive, summed over
+/// the chargers whose timelines need it) before an instance build fans the
+/// extraction out across threads: below this the scoped-thread setup costs
+/// more than the extraction it parallelizes. Both paths derive identical
+/// timelines, so the gate only moves wall-clock.
+const PAR_TIMELINE_MIN_WORK: usize = 65_536;
+
+/// A stretch `start..end` of one charger's slots over which its usable
+/// candidate set — and therefore its policy family — is constant.
+#[derive(Debug, Clone)]
+struct Segment {
+    start: Slot,
+    end: Slot,
+    family: Arc<[Policy]>,
+}
+
+/// One charger's policy timeline: contiguous segments, plus how many known
+/// candidates they were derived from.
+#[derive(Debug, Clone, Default)]
+struct ChargerTimeline {
+    known: Option<usize>,
+    segments: Vec<Segment>,
+}
+
+/// Per-charger policy timelines, held across instance builds by an online
+/// event loop (see [`HasteRInstance::build_on`]).
+///
+/// Segment boundaries are every candidate's visibility start and end slot,
+/// known or not, so they do not depend on which tasks are known; a
+/// segment's family is a pure function of the charger's known candidates
+/// active in it. A charger whose known-candidate count is unchanged since
+/// the last build (known sets only grow) therefore keeps its timeline,
+/// clipped to the new slot range and extended if the range grew; only the
+/// other chargers' dominant sets are extracted again.
+///
+/// One value serves one event loop: every build over the same scenario,
+/// whose tasks, coverage and known set only ever grow, and whose slot
+/// range never starts earlier than the previous one did (an earlier start
+/// re-derives from scratch). Start from `PolicyTimelines::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyTimelines {
+    /// `(scope, visibility delay)` the timelines were derived under.
+    derived_under: Option<(DominantScope, usize)>,
+    chargers: Vec<ChargerTimeline>,
+}
+
+impl PolicyTimelines {
+    /// Forgets every timeline derived under different build settings.
+    fn reset_unless(&mut self, chargers: usize, scope: DominantScope, visibility_delay: usize) {
+        let key = Some((scope, visibility_delay));
+        if self.derived_under != key || self.chargers.len() != chargers {
+            self.derived_under = key;
+            self.chargers = vec![ChargerTimeline::default(); chargers];
+        }
+    }
+}
+
+impl ChargerTimeline {
+    /// Reuses what still holds for `known` candidates over `range` and
+    /// returns the slot derivation has to resume from (`range.end` when the
+    /// timeline already covers the range).
+    fn prepare(&mut self, known: usize, range: &Range<Slot>, deriver: &Deriver, i: usize) -> Slot {
+        if self.known != Some(known) || self.segments.first().is_some_and(|s| s.start > range.start)
+        {
+            self.known = Some(known);
+            self.segments.clear();
+        }
+        self.segments
+            .retain(|s| s.end > range.start && s.start < range.end);
+        if let Some(first) = self.segments.first_mut() {
+            first.start = range.start;
+        }
+        match self.segments.last_mut() {
+            None => range.start,
+            Some(last) => {
+                // The tail may have been cut at an earlier, shorter range:
+                // its family holds up to the next boundary under this one.
+                last.end = deriver.next_boundary(i, last.start, range.end);
+                last.end
+            }
+        }
+    }
+}
+
+/// Derives policy families for one build: the scenario, coverage and the
+/// options that decide which candidates are usable in which slot.
+struct Deriver<'s> {
+    scenario: &'s Scenario,
+    coverage: &'s CoverageMap,
+    known: Option<&'s [bool]>,
+    visibility_delay: usize,
+    scope: DominantScope,
+}
+
+impl Deriver<'_> {
+    fn candidates(&self, i: usize) -> &[CandidateTask] {
+        self.coverage.tasks_of(ChargerId(i as u32))
+    }
+
+    fn is_known(&self, task_idx: usize) -> bool {
+        self.known.is_none_or(|kn| kn[task_idx])
+    }
+
+    fn known_candidates(&self, i: usize) -> impl Iterator<Item = &CandidateTask> {
+        self.candidates(i)
+            .iter()
+            .filter(|c| self.is_known(c.task.index()))
+    }
+
+    fn usable(&self, task_idx: usize, k: Slot) -> bool {
+        let task = &self.scenario.tasks[task_idx];
+        task.active_at(k)
+            && self.is_known(task_idx)
+            && k >= task.release_slot + self.visibility_delay
+    }
+
+    /// First slot after `k` (capped at `end`) where some candidate's
+    /// visibility starts or ends — known or not, so that boundaries never
+    /// move when a task becomes known.
+    fn next_boundary(&self, i: usize, k: Slot, end: Slot) -> Slot {
+        let mut next = end;
+        for c in self.candidates(i) {
+            let task = &self.scenario.tasks[c.task.index()];
+            let start = task.release_slot + self.visibility_delay;
+            if start > k && start < next {
+                next = start;
+            }
+            if task.end_slot > k && task.end_slot < next {
+                next = task.end_slot;
+            }
+        }
+        next
+    }
+
+    /// Derives charger `i`'s segments over `from..end`.
+    fn segments(&self, i: usize, from: Slot, end: Slot) -> Vec<Segment> {
+        let slot_seconds = self.scenario.grid.slot_seconds;
+        let charging_angle = self.scenario.params.charging_angle;
+        // Global extraction reuses one dominant family per charger.
+        let global: Vec<DominantSet> = match self.scope {
+            DominantScope::PerSlot => Vec::new(),
+            DominantScope::Global => {
+                let known: Vec<_> = self.known_candidates(i).copied().collect();
+                extract_dominant_sets(&known, charging_angle)
+            }
+        };
+        let mut segments = Vec::new();
+        let mut k = from;
+        while k < end {
+            let next = self.next_boundary(i, k, end);
+            let family: Vec<Policy> = match self.scope {
+                DominantScope::PerSlot => {
+                    let active: Vec<_> = self
+                        .candidates(i)
+                        .iter()
+                        .filter(|c| self.usable(c.task.index(), k))
+                        .copied()
+                        .collect();
+                    if active.is_empty() {
+                        Vec::new()
+                    } else {
+                        extract_dominant_sets(&active, charging_angle)
+                            .into_iter()
+                            .map(|set| Policy {
+                                orientation: set.orientation,
+                                deliveries: set
+                                    .members
+                                    .iter()
+                                    .map(|&(t, power)| (t.index(), power * slot_seconds))
+                                    .collect(),
+                            })
+                            .collect()
+                    }
+                }
+                DominantScope::Global => global
+                    .iter()
+                    .map(|set| Policy {
+                        orientation: set.orientation,
+                        deliveries: set
+                            .members
+                            .iter()
+                            // Global sets may contain tasks unusable in
+                            // this segment; they receive nothing.
+                            .filter(|(t, _)| self.usable(t.index(), k))
+                            .map(|&(t, power)| (t.index(), power * slot_seconds))
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            segments.push(Segment {
+                start: k,
+                end: next,
+                family: family.into(),
+            });
+            k = next;
+        }
+        segments
+    }
+}
+
 /// The reformulated problem instance RP2: ground set + incremental oracle.
 ///
 /// Policy families are stored once per (charger, activity segment) and
 /// shared by every slot of the segment — the usable task set of a charger
-/// is piecewise constant in time, and deduplicating the families keeps the
-/// online loop (which rebuilds instances on every arrival) cheap.
+/// is piecewise constant in time. The families are shared with the
+/// [`PolicyTimelines`] they came from, so the online loop (which builds an
+/// instance on every arrival) only derives the ones that changed.
 pub struct HasteRInstance<'a> {
     scenario: &'a Scenario,
     /// Decision slots covered by this instance.
     pub slot_range: Range<Slot>,
     /// Unique policy families; `families[0]` is the empty family.
-    families: Vec<Vec<Policy>>,
+    families: Vec<Arc<[Policy]>>,
     /// `families` index for partition `p = (k − slot_range.start)·n + i`.
     partition_family: Vec<u32>,
     /// Per-task energy at the start of the instance.
     initial_energy: Vec<f64>,
+    /// Segment families this build derived (the rest were reused).
+    segments_derived: u64,
 }
 
 impl<'a> HasteRInstance<'a> {
@@ -114,123 +319,81 @@ impl<'a> HasteRInstance<'a> {
         coverage: &CoverageMap,
         options: InstanceOptions,
     ) -> Self {
+        Self::build_on(scenario, coverage, options, &mut PolicyTimelines::default())
+    }
+
+    /// Builds an instance under explicit [`InstanceOptions`], reusing (and
+    /// updating) `timelines` from the previous build of the same event
+    /// loop. Only chargers whose known-candidate set changed, or whose
+    /// timeline does not yet reach the end of the slot range, derive
+    /// policies; the instance equals a build from empty timelines
+    /// ([`build_with`](Self::build_with)) partition for partition.
+    pub fn build_on(
+        scenario: &'a Scenario,
+        coverage: &CoverageMap,
+        options: InstanceOptions,
+        timelines: &mut PolicyTimelines,
+    ) -> Self {
         let n = scenario.num_chargers();
         let scope = options.scope.unwrap_or(DominantScope::PerSlot);
         let slot_range = options.slot_range.unwrap_or(0..scenario.active_horizon());
-        let known = options.known_tasks;
         let visibility_delay = options.visibility_delay.unwrap_or(0);
-        let slot_seconds = scenario.grid.slot_seconds;
-        let threads = options.threads.map_or(1, haste_parallel::resolve_threads);
-
-        let usable = |task_idx: usize, k: Slot| -> bool {
-            let task = &scenario.tasks[task_idx];
-            task.active_at(k)
-                && known.as_ref().is_none_or(|kn| kn[task_idx])
-                && k >= task.release_slot + visibility_delay
+        let disabled = |i: usize| options.disabled_chargers.as_ref().is_some_and(|d| d[i]);
+        let deriver = Deriver {
+            scenario,
+            coverage,
+            known: options.known_tasks.as_deref(),
+            visibility_delay,
+            scope,
         };
+        timelines.reset_unless(n, scope, visibility_delay);
 
-        // Global extraction reuses one dominant family per charger.
-        let charger_ids: Vec<usize> = (0..n).collect();
-        let global_sets: Vec<Vec<DominantSet>> = if scope == DominantScope::Global {
-            haste_parallel::par_map(&charger_ids, threads, |_, &i| {
-                let candidates: Vec<_> = coverage
-                    .tasks_of(ChargerId(i as u32))
-                    .iter()
-                    .filter(|c| known.as_ref().is_none_or(|kn| kn[c.task.index()]))
-                    .copied()
-                    .collect();
-                extract_dominant_sets(&candidates, scenario.params.charging_angle)
-            })
-        } else {
-            Vec::new()
+        // Keep what still holds; collect the (charger, resume slot) pairs
+        // that need extraction. Disabled chargers are left untouched: their
+        // timelines catch up the next time they plan.
+        let mut jobs: Vec<(usize, Slot)> = Vec::new();
+        let mut work = 0;
+        for (i, timeline) in timelines.chargers.iter_mut().enumerate() {
+            if disabled(i) {
+                continue;
+            }
+            let from = timeline.prepare(
+                deriver.known_candidates(i).count(),
+                &slot_range,
+                &deriver,
+                i,
+            );
+            if from < slot_range.end {
+                jobs.push((i, from));
+                work += deriver.candidates(i).len() * (slot_range.end - from);
+            }
+        }
+        // Chargers are independent here; results come back in job order,
+        // so the timelines are identical for every thread count.
+        let threads = match options.threads {
+            Some(t) if work >= PAR_TIMELINE_MIN_WORK => haste_parallel::resolve_threads(t),
+            _ => 1,
         };
-
-        let slots = slot_range.len();
-        // The usable candidate set of a charger is piecewise constant in k
-        // (it changes only at task visibility starts and ends), so build
-        // one policy family per (charger, segment) and share it. Chargers
-        // are independent here, so the segment extraction fans out across
-        // threads; the family table is then assembled sequentially in
-        // charger order, giving the exact same indices as a sequential
-        // build.
-        let per_charger_segments: Vec<Vec<(Slot, Slot, Vec<Policy>)>> =
-            haste_parallel::par_map(&charger_ids, threads, |_, &i| {
-                if options.disabled_chargers.as_ref().is_some_and(|d| d[i]) {
-                    return Vec::new(); // stays on the empty family
-                }
-                let charger = ChargerId(i as u32);
-                let candidates = coverage.tasks_of(charger);
-                let mut segments = Vec::new();
-                let mut k = slot_range.start;
-                while k < slot_range.end {
-                    // Next slot where some candidate's visibility flips.
-                    let mut next_change = slot_range.end;
-                    for c in candidates {
-                        let task = &scenario.tasks[c.task.index()];
-                        let start = task.release_slot + visibility_delay;
-                        if start > k && start < next_change {
-                            next_change = start;
-                        }
-                        if task.end_slot > k && task.end_slot < next_change {
-                            next_change = task.end_slot;
-                        }
-                    }
-                    let family: Vec<Policy> = match scope {
-                        DominantScope::PerSlot => {
-                            let active: Vec<_> = candidates
-                                .iter()
-                                .filter(|c| usable(c.task.index(), k))
-                                .copied()
-                                .collect();
-                            if active.is_empty() {
-                                Vec::new()
-                            } else {
-                                extract_dominant_sets(&active, scenario.params.charging_angle)
-                                    .into_iter()
-                                    .map(|set| Policy {
-                                        orientation: set.orientation,
-                                        deliveries: set
-                                            .members
-                                            .iter()
-                                            .map(|&(t, power)| (t.index(), power * slot_seconds))
-                                            .collect(),
-                                    })
-                                    .collect()
-                            }
-                        }
-                        DominantScope::Global => global_sets[i]
-                            .iter()
-                            .map(|set| Policy {
-                                orientation: set.orientation,
-                                deliveries: set
-                                    .members
-                                    .iter()
-                                    // Global sets may contain tasks unusable
-                                    // in this segment; they receive nothing.
-                                    .filter(|(t, _)| usable(t.index(), k))
-                                    .map(|&(t, power)| (t.index(), power * slot_seconds))
-                                    .collect(),
-                            })
-                            .collect(),
-                    };
-                    segments.push((k, next_change, family));
-                    k = next_change;
-                }
-                segments
-            });
+        let derived = haste_parallel::par_map(&jobs, threads, |_, &(i, from)| {
+            deriver.segments(i, from, slot_range.end)
+        });
+        let mut segments_derived = 0;
+        for (&(i, _), segments) in jobs.iter().zip(derived) {
+            segments_derived += segments.len() as u64;
+            timelines.chargers[i].segments.extend(segments);
+        }
 
         // families[0] is the shared empty family.
-        let mut families: Vec<Vec<Policy>> = vec![Vec::new()];
-        let mut partition_family: Vec<u32> = vec![0; n * slots];
-        for (i, segments) in per_charger_segments.into_iter().enumerate() {
-            for (seg_start, seg_end, family) in segments {
-                let family_idx = if family.is_empty() && scope == DominantScope::PerSlot {
-                    0
-                } else {
-                    families.push(family);
-                    (families.len() - 1) as u32
-                };
-                for slot in seg_start..seg_end {
+        let mut families: Vec<Arc<[Policy]>> = vec![Arc::from(Vec::new())];
+        let mut partition_family: Vec<u32> = vec![0; n * slot_range.len()];
+        for (i, timeline) in timelines.chargers.iter().enumerate() {
+            if disabled(i) {
+                continue; // stays on the empty family
+            }
+            for segment in timeline.segments.iter().filter(|s| !s.family.is_empty()) {
+                families.push(Arc::clone(&segment.family));
+                let family_idx = (families.len() - 1) as u32;
+                for slot in segment.start..segment.end {
                     partition_family[(slot - slot_range.start) * n + i] = family_idx;
                 }
             }
@@ -245,6 +408,7 @@ impl<'a> HasteRInstance<'a> {
             families,
             partition_family,
             initial_energy,
+            segments_derived,
         }
     }
 
@@ -279,6 +443,12 @@ impl<'a> HasteRInstance<'a> {
     #[inline]
     pub fn policies(&self, partition: usize) -> &[Policy] {
         &self.families[self.partition_family[partition] as usize]
+    }
+
+    /// Charger segment families this build derived rather than reused from
+    /// its [`PolicyTimelines`] (every segment, for a cold build).
+    pub fn segments_derived(&self) -> u64 {
+        self.segments_derived
     }
 
     /// Total number of ground-set elements (all policies of all partitions).
@@ -635,6 +805,107 @@ mod tests {
             assert_eq!(inst.num_choices(p), 0);
         }
         assert_eq!(inst.ground_set_size(), 0);
+    }
+
+    /// One partition's policies as `(orientation bits, deliveries)`.
+    type PartitionDigest = Vec<(u64, Vec<(usize, u64)>)>;
+
+    fn digest(inst: &HasteRInstance) -> Vec<PartitionDigest> {
+        (0..inst.num_partitions())
+            .map(|p| {
+                inst.policies(p)
+                    .iter()
+                    .map(|pol| {
+                        let deliveries = pol
+                            .deliveries
+                            .iter()
+                            .map(|&(t, e)| (t, e.to_bits()))
+                            .collect();
+                        (pol.orientation.radians().to_bits(), deliveries)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_timelines_equal_cold_builds_over_an_event_sequence() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (n, m) = (16, 96);
+        let mut rng = StdRng::seed_from_u64(3);
+        let params =
+            ChargingParams::simulation_default().with_receiving_angle(std::f64::consts::TAU);
+        let chargers = (0..n)
+            .map(|i| {
+                Charger::new(
+                    i,
+                    Vec2::new(rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)),
+                )
+            })
+            .collect();
+        let tasks = (0..m)
+            .map(|j| {
+                let release = rng.gen_range(0..8usize);
+                Task::new(
+                    j,
+                    Vec2::new(rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)),
+                    Angle::ZERO,
+                    release,
+                    rng.gen_range(release + 24..64),
+                    1000.0,
+                    1.0,
+                )
+            })
+            .collect();
+        let s = Scenario::new(params, TimeGrid::minutes(64), chargers, tasks, 0.0, 0).unwrap();
+        let cov = CoverageMap::build(&s);
+
+        for (scope, delay) in [(DominantScope::PerSlot, 0), (DominantScope::Global, 1)] {
+            let mut timelines = PolicyTimelines::default();
+            let (mut warm_segments, mut cold_segments) = (0, 0);
+            // Every other event releases nothing (a failure or a localized
+            // re-plan): the known set stays and only the range moves.
+            for step in 0..12 {
+                let released = |t: &Task| t.release_slot <= step / 2;
+                let known: Vec<bool> = s.tasks.iter().map(released).collect();
+                let end = s
+                    .tasks
+                    .iter()
+                    .filter(|t| released(t))
+                    .map(|t| t.end_slot)
+                    .max()
+                    .unwrap_or(0);
+                if step == 0 {
+                    let candidates: usize = (0..n).map(|i| cov.tasks_of(ChargerId(i)).len()).sum();
+                    let work = candidates * (end - 1);
+                    assert!(
+                        work >= PAR_TIMELINE_MIN_WORK,
+                        "the first build fans out ({work})"
+                    );
+                }
+                let disabled: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.25)).collect();
+                let options = |threads| InstanceOptions {
+                    scope: Some(scope),
+                    slot_range: Some(step + 1..end),
+                    known_tasks: Some(known.clone()),
+                    visibility_delay: Some(delay),
+                    disabled_chargers: Some(disabled.clone()),
+                    threads,
+                    ..InstanceOptions::default()
+                };
+                let warm = HasteRInstance::build_on(&s, &cov, options(Some(4)), &mut timelines);
+                let cold = HasteRInstance::build_with(&s, &cov, options(None));
+                assert_eq!(digest(&warm), digest(&cold), "{scope:?} step {step}");
+                warm_segments += warm.segments_derived();
+                cold_segments += cold.segments_derived();
+            }
+            assert!(
+                warm_segments < cold_segments,
+                "{warm_segments} vs {cold_segments}"
+            );
+        }
     }
 
     #[test]

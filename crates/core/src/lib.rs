@@ -30,6 +30,8 @@ pub use baselines::{solve_baseline, solve_baseline_with_delay, BaselineKind};
 pub use dominant::{extract_dominant_sets, DominantSet};
 pub use emr_solver::{solve_offline_emr, EmrOptions, EmrResult};
 pub use exact::{solve_exact, BruteForceError};
-pub use instance::{DominantScope, EnergyState, HasteRInstance, InstanceOptions, Policy};
+pub use instance::{
+    DominantScope, EnergyState, HasteRInstance, InstanceOptions, Policy, PolicyTimelines,
+};
 pub use metrics::SolverMetrics;
 pub use offline::{solve_offline, OfflineConfig, SolveResult};

@@ -1,8 +1,9 @@
 //! Per-solve instrumentation: oracle-call counters and phase timings.
 //!
 //! Oracle counters come from the optimizers' [`OptimizerStats`], the
-//! coverage-pair counter from the online engine's coverage map; all are
-//! exact and thread-count-invariant (they are computed from loop bounds,
+//! coverage-pair counter from the online engine's coverage map, the
+//! policy-segment counter from the instance builds; all are exact and
+//! thread-count-invariant (they are computed from loop bounds,
 //! not sampled). Timings are wall-clock per solver phase; the
 //! coverage-build phase happens outside [`crate::solve_offline`] (callers
 //! build the [`CoverageMap`] once and reuse it), so solvers leave it zero
@@ -28,6 +29,10 @@ pub struct SolverMetrics {
     /// Charger–task chargeability tests behind the coverage map (filled in
     /// by the online engine, which extends its map as tasks arrive).
     pub coverage_pairs: u64,
+    /// Per-charger segment policy families the instance builds derived
+    /// (dominant-set extractions over one segment's usable tasks); families
+    /// reused from a held policy timeline are not counted.
+    pub policy_segments: u64,
     /// Wall-clock spent building the chargeability [`haste_model::CoverageMap`]
     /// (zero unless the caller timed it; see module docs).
     pub coverage_build: Duration,
@@ -62,6 +67,7 @@ impl SolverMetrics {
         self.oracle_marginals += other.oracle_marginals;
         self.oracle_commits += other.oracle_commits;
         self.coverage_pairs += other.coverage_pairs;
+        self.policy_segments += other.policy_segments;
         self.coverage_build += other.coverage_build;
         self.instance_build += other.instance_build;
         self.greedy += other.greedy;
@@ -75,11 +81,12 @@ impl fmt::Display for SolverMetrics {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         write!(
             f,
-            "oracle: {} marginals, {} commits | coverage {:.1} ms, \
-             instance {:.1} ms, greedy {:.1} ms, rounding {:.1} ms, \
-             eval {:.1} ms | {} thread{}",
+            "oracle: {} marginals, {} commits | {} policy segments | \
+             coverage {:.1} ms, instance {:.1} ms, greedy {:.1} ms, \
+             rounding {:.1} ms, eval {:.1} ms | {} thread{}",
             self.oracle_marginals,
             self.oracle_commits,
+            self.policy_segments,
             ms(self.coverage_build),
             ms(self.instance_build),
             ms(self.greedy),
@@ -102,6 +109,7 @@ mod tests {
             oracle_marginals: 10,
             oracle_commits: 2,
             coverage_pairs: 3,
+            policy_segments: 9,
             greedy: Duration::from_millis(5),
             ..SolverMetrics::default()
         };
@@ -110,6 +118,7 @@ mod tests {
             oracle_marginals: 30,
             oracle_commits: 4,
             coverage_pairs: 5,
+            policy_segments: 11,
             instance_build: Duration::from_millis(7),
             ..SolverMetrics::default()
         };
@@ -118,6 +127,7 @@ mod tests {
         assert_eq!(a.oracle_marginals, 40);
         assert_eq!(a.oracle_commits, 6);
         assert_eq!(a.coverage_pairs, 8);
+        assert_eq!(a.policy_segments, 20);
         assert_eq!(a.total_time(), Duration::from_millis(12));
     }
 
@@ -127,5 +137,6 @@ mod tests {
         let s = format!("{m}");
         assert!(!s.contains('\n'));
         assert!(s.contains("marginals"));
+        assert!(s.contains("policy segments"));
     }
 }

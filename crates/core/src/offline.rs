@@ -113,6 +113,7 @@ pub fn solve_offline(
         },
     );
     metrics.instance_build = t0.elapsed();
+    metrics.policy_segments = instance.segments_derived();
 
     // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
     let t1 = Instant::now();

@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use haste_core::SolverMetrics;
+use haste_core::{PolicyTimelines, SolverMetrics};
 use haste_model::{
     evaluate, evaluate_relaxed, io, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule, Task,
     TaskId,
@@ -126,12 +126,21 @@ pub struct OnlineEngine {
     coverage: CoverageMap,
     /// The neighbor graph of `coverage`, extended alongside it.
     graph: NeighborGraph,
+    /// Per-charger policy timelines held across re-planning events, so a
+    /// tick only re-derives the chargers that can serve an arrival (or
+    /// whose timeline the growing horizon outran). Not persisted:
+    /// [`restore`](OnlineEngine::restore) starts cold.
+    timelines: PolicyTimelines,
     config: OnlineConfig,
     max_pending: usize,
     /// Submissions admitted into the current open slot.
     pending: usize,
     /// The current open slot; slots `0..clock` are closed.
     clock: usize,
+    /// Index of the open slot's first task. Tasks are appended in
+    /// non-decreasing release order, so `tasks[open_from..]` are exactly
+    /// the open slot's arrivals. Derived, never persisted.
+    open_from: usize,
     schedule: Schedule,
     stats: NegotiationStats,
     metrics: SolverMetrics,
@@ -158,12 +167,14 @@ impl OnlineEngine {
         let mut engine = OnlineEngine {
             graph: NeighborGraph::build(&coverage),
             coverage,
+            timelines: PolicyTimelines::default(),
             scenario,
             staged: staged.into(),
             config,
             max_pending,
             pending: 0,
             clock: 0,
+            open_from: 0,
             schedule: Schedule::empty(n, num_slots),
             stats: NegotiationStats::new(0),
             metrics: SolverMetrics {
@@ -259,14 +270,10 @@ impl OnlineEngine {
             return None;
         }
         let t = self.clock;
-        let arrived_now: Vec<usize> = self
-            .scenario
-            .tasks
-            .iter()
-            .filter(|task| task.release_slot == t)
-            .map(|task| task.id.index())
-            .collect();
-        if !arrived_now.is_empty() {
+        let num_tasks = self.scenario.num_tasks();
+        if self.open_from < num_tasks {
+            // Ids are arrival indices, so the arrivals are the index range.
+            let arrived_now: Vec<usize> = (self.open_from..num_tasks).collect();
             self.refresh_coverage();
             let threads = self.metrics.threads;
             replan_event(
@@ -279,11 +286,12 @@ impl OnlineEngine {
                     slot: t,
                     horizon: self.scenario.active_horizon(),
                     known: None,
-                    disabled: &vec![false; self.scenario.num_chargers()],
+                    disabled: None,
                     arrived_now: &arrived_now,
                     failed_now: &[],
                     threads,
                 },
+                &mut self.timelines,
                 &mut self.stats,
                 &mut self.metrics,
             );
@@ -292,6 +300,7 @@ impl OnlineEngine {
         }
         self.clock += 1;
         self.pending = 0;
+        self.open_from = num_tasks;
         self.release_due();
         Some(self.clock)
     }
@@ -419,9 +428,11 @@ impl OnlineEngine {
     /// [`restore`](OnlineEngine::restore) reconstructs an engine that
     /// continues bit-identically (floats use shortest-roundtrip formatting,
     /// which is lossless). Phase *timings* reset to zero on restore — they
-    /// are wall-clock measurements, not algorithm state — and the
+    /// are wall-clock measurements, not algorithm state — the
     /// coverage-pair counter restarts at the restore's full build
-    /// (`n · m`, what the live engine counted for the same tasks). Charging
+    /// (`n · m`, what the live engine counted for the same tasks), and the
+    /// policy-segment counter restarts at 0 (the restored engine's policy
+    /// timelines start cold and count what it derives from then on). Charging
     /// parameters beyond the five the scenario text carries reset to
     /// simulation defaults, mirroring `model::io`.
     pub fn snapshot(&self) -> String {
@@ -645,15 +656,20 @@ impl OnlineEngine {
         // The one full build: the restored scenario's coverage and graph.
         let coverage = CoverageMap::build(&scenario);
         let coverage_pairs = (scenario.num_chargers() * scenario.num_tasks()) as u64;
+        let open_from = scenario
+            .tasks
+            .partition_point(|task| task.release_slot < clock);
         Ok(OnlineEngine {
             graph: NeighborGraph::build(&coverage),
             coverage,
+            timelines: PolicyTimelines::default(),
             scenario,
             staged,
             config,
             max_pending,
             pending,
             clock,
+            open_from,
             schedule,
             metrics: SolverMetrics {
                 threads,
@@ -839,6 +855,15 @@ mod tests {
     /// Streams a scenario's tasks live (submitting each at its release
     /// slot) and returns the engine just before the final run-out.
     fn stream(scenario: &Scenario, config: &OnlineConfig) -> OnlineEngine {
+        stream_with(scenario, config, |_| {})
+    }
+
+    /// [`stream`], calling `before_tick` on the engine before every tick.
+    fn stream_with(
+        scenario: &Scenario,
+        config: &OnlineConfig,
+        mut before_tick: impl FnMut(&mut OnlineEngine),
+    ) -> OnlineEngine {
         let mut base = scenario.clone();
         base.tasks.clear();
         let mut engine = OnlineEngine::new(base, config.clone(), usize::MAX);
@@ -850,12 +875,89 @@ mod tests {
                 engine.submit(spec_of(by_release[next])).unwrap();
                 next += 1;
             }
+            before_tick(&mut engine);
             if engine.tick().is_none() {
                 break;
             }
         }
         assert_eq!(next, by_release.len(), "every task submitted");
         engine
+    }
+
+    /// Drops the engine's policy timelines, so its next re-planning builds
+    /// its instance cold.
+    fn go_cold(engine: &mut OnlineEngine) {
+        engine.timelines = PolicyTimelines::default();
+    }
+
+    #[test]
+    fn warm_timelines_build_the_cold_instances_as_the_horizon_grows() {
+        let configs = [
+            OnlineConfig::default(),
+            OnlineConfig {
+                engine: EngineKind::Threaded,
+                localized: true,
+                negotiation: crate::NegotiationConfig {
+                    colors: 3,
+                    samples: 6,
+                    seed: 5,
+                },
+                ..OnlineConfig::default()
+            },
+        ];
+        let mut built = 0;
+        for seed in [41u64, 42, 43] {
+            let s = random_scenario(seed, 6, 16, 1);
+            for config in &configs {
+                // The horizon each tick re-plans to, while timelines are warm.
+                let mut horizons = Vec::new();
+                let (warm, warm_built) = crate::online::tests::recording(|| {
+                    stream_with(&s, config, |engine| {
+                        if engine.open_from < engine.scenario().num_tasks() {
+                            horizons.push(engine.scenario().active_horizon());
+                        }
+                    })
+                    .finish()
+                });
+                let (cold, cold_built) =
+                    crate::online::tests::recording(|| stream_with(&s, config, go_cold).finish());
+                assert!(
+                    horizons.windows(2).any(|w| w[0] < w[1]),
+                    "seed {seed}: the horizon must grow between re-planning ticks"
+                );
+                built += warm_built.len();
+                assert_eq!(warm_built, cold_built, "seed {seed} {config:?}");
+                assert_eq!(warm.schedule, cold.schedule);
+                assert_eq!(warm.stats, cold.stats);
+            }
+        }
+        assert!(built > 10, "only {built} re-planning builds compared");
+    }
+
+    #[test]
+    fn policy_segments_stay_below_cold_and_ignore_threads() {
+        let s = random_scenario(19, 8, 24, 1);
+        let count = |threads: usize, cold: bool| {
+            let config = OnlineConfig {
+                threads,
+                ..OnlineConfig::default()
+            };
+            let engine = if cold {
+                stream_with(&s, &config, go_cold)
+            } else {
+                stream(&s, &config)
+            };
+            engine.finish().metrics.policy_segments
+        };
+        let warm = count(1, false);
+        let cold = count(1, true);
+        assert!(warm > 0);
+        assert!(warm < cold, "warm {warm} vs cold {cold}");
+        assert_eq!(count(4, false), warm);
+        assert_eq!(count(4, true), cold);
+        // A restored engine starts cold and counts from zero.
+        let restored = OnlineEngine::restore(&stream(&s, &OnlineConfig::default()).snapshot());
+        assert_eq!(restored.unwrap().metrics().policy_segments, 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use std::time::Instant;
 
 use haste_core::{
-    solve_baseline_with_delay, BaselineKind, HasteRInstance, InstanceOptions, SolveResult,
-    SolverMetrics,
+    solve_baseline_with_delay, BaselineKind, HasteRInstance, InstanceOptions, PolicyTimelines,
+    SolveResult, SolverMetrics,
 };
 use haste_model::{
     evaluate, evaluate_relaxed, CoverageMap, EvalOptions, EvalReport, Scenario, Schedule,
@@ -97,6 +97,17 @@ pub fn solve_online(
     coverage: &CoverageMap,
     config: &OnlineConfig,
 ) -> OnlineResult {
+    run_events(scenario, coverage, config, |_| {})
+}
+
+/// The event loop behind [`solve_online`]. `before_event` sees the held
+/// policy timelines before every event (tests use it to force cold builds).
+fn run_events(
+    scenario: &Scenario,
+    coverage: &CoverageMap,
+    config: &OnlineConfig,
+    mut before_event: impl FnMut(&mut PolicyTimelines),
+) -> OnlineResult {
     let horizon = scenario.active_horizon();
     let n = scenario.num_chargers();
     let threads = haste_parallel::resolve_threads(config.threads);
@@ -107,6 +118,7 @@ pub fn solve_online(
         threads,
         ..SolverMetrics::default()
     };
+    let mut timelines = PolicyTimelines::default();
     let mut known = vec![false; scenario.num_tasks()];
     let mut disabled = vec![false; n];
     // Physical death slot per charger (cleared from the executed schedule
@@ -114,41 +126,47 @@ pub fn solve_online(
     let mut dead_from: Vec<Option<usize>> = vec![None; n];
 
     // Re-negotiation events: one per distinct task release or charger
-    // failure slot.
+    // failure slot. Tasks and failures are consumed in slot order (stable,
+    // so ties keep index order), one pass over each for the whole run.
     let mut events: Vec<usize> = scenario.tasks.iter().map(|t| t.release_slot).collect();
     events.extend(config.failures.iter().map(|f| f.slot));
     events.sort_unstable();
     events.dedup();
+    let mut tasks_by_release: Vec<usize> = (0..scenario.num_tasks()).collect();
+    tasks_by_release.sort_by_key(|&j| scenario.tasks[j].release_slot);
+    let mut failures = config.failures.clone();
+    failures.sort_by_key(|f| f.slot);
+    let (mut next_task, mut next_failure) = (0, 0);
+    let mut arrived_now: Vec<usize> = Vec::new();
+    let mut failed_now: Vec<usize> = Vec::new();
 
     for &t in &events {
-        for task in &scenario.tasks {
-            if task.release_slot <= t {
-                known[task.id.index()] = true;
+        arrived_now.clear();
+        while let Some(&j) = tasks_by_release.get(next_task) {
+            if scenario.tasks[j].release_slot > t {
+                break;
             }
+            let id = scenario.tasks[j].id.index();
+            known[id] = true;
+            arrived_now.push(id);
+            next_task += 1;
         }
-        for failure in &config.failures {
-            if failure.slot <= t {
-                let i = failure.charger.index();
-                disabled[i] = true;
-                let first = dead_from[i].map_or(failure.slot, |d| d.min(failure.slot));
-                dead_from[i] = Some(first);
+        failed_now.clear();
+        while let Some(failure) = failures.get(next_failure) {
+            if failure.slot > t {
+                break;
             }
+            let i = failure.charger.index();
+            disabled[i] = true;
+            let first = dead_from[i].map_or(failure.slot, |d| d.min(failure.slot));
+            dead_from[i] = Some(first);
+            failed_now.push(i);
+            next_failure += 1;
         }
         // A dead charger stops emitting the moment it dies, regardless of
         // how long the replanning takes.
         clear_dead(&mut schedule, &dead_from);
-        let arrived_now: Vec<usize> = scenario
-            .tasks
-            .iter()
-            .filter(|task| task.release_slot == t)
-            .map(|task| task.id.index())
-            .collect();
-        let failed_now: Vec<usize> = config
-            .failures
-            .iter()
-            .filter(|f| f.slot == t)
-            .map(|f| f.charger.index())
-            .collect();
+        before_event(&mut timelines);
         let replanned = replan_event(
             scenario,
             coverage,
@@ -159,11 +177,12 @@ pub fn solve_online(
                 slot: t,
                 horizon,
                 known: Some(&known),
-                disabled: &disabled,
+                disabled: Some(&disabled),
                 arrived_now: &arrived_now,
                 failed_now: &failed_now,
                 threads,
             },
+            &mut timelines,
             &mut stats,
             &mut metrics,
         );
@@ -213,8 +232,9 @@ pub(crate) struct ReplanEvent<'a> {
     /// what the incremental engine uses: its scenario only ever contains
     /// arrived tasks).
     pub known: Option<&'a [bool]>,
-    /// Chargers disabled by failures (never participate again).
-    pub disabled: &'a [bool],
+    /// Chargers disabled by failures (never participate again); `None` =
+    /// no failures.
+    pub disabled: Option<&'a [bool]>,
     /// Task indices released exactly at `slot` (localized scope seeds).
     pub arrived_now: &'a [usize],
     /// Charger indices failing exactly at `slot` (localized scope seeds).
@@ -228,7 +248,9 @@ pub(crate) struct ReplanEvent<'a> {
 /// `schedule`. Returns `false` when the event is a no-op (past the horizon,
 /// or nobody replans). Shared verbatim between [`solve_online`] and the
 /// incremental [`crate::engine::OnlineEngine`] so both produce bit-identical
-/// schedules for the same event sequence.
+/// schedules for the same event sequence. `timelines` is the event loop's
+/// held policy timelines: the instance build re-derives only the chargers
+/// whose known candidates changed (or whose horizon grew).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replan_event(
     scenario: &Scenario,
@@ -237,6 +259,7 @@ pub(crate) fn replan_event(
     config: &OnlineConfig,
     schedule: &mut Schedule,
     event: ReplanEvent<'_>,
+    timelines: &mut PolicyTimelines,
     stats: &mut NegotiationStats,
     metrics: &mut SolverMetrics,
 ) -> bool {
@@ -273,7 +296,7 @@ pub(crate) fn replan_event(
         vec![true; n]
     };
     let planning_disabled: Vec<bool> = (0..n)
-        .map(|i| event.disabled[i] || !replanning[i])
+        .map(|i| event.disabled.is_some_and(|d| d[i]) || !replanning[i])
         .collect();
     if planning_disabled.iter().all(|&d| d) {
         return false;
@@ -322,7 +345,7 @@ pub(crate) fn replan_event(
     }
     // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
     let build_start = Instant::now();
-    let instance = HasteRInstance::build_with(
+    let instance = HasteRInstance::build_on(
         scenario,
         coverage,
         InstanceOptions {
@@ -336,8 +359,12 @@ pub(crate) fn replan_event(
             threads: Some(event.threads),
             ..InstanceOptions::default()
         },
+        timelines,
     );
     metrics.instance_build += build_start.elapsed();
+    metrics.policy_segments += instance.segments_derived();
+    #[cfg(test)]
+    tests::record_instance(&instance);
     // haste-lint: allow(D2) — phase timing feeds SolverMetrics, not algorithm state
     let negotiate_start = Instant::now();
     let (selection, run_stats): (Selection, NegotiationStats) = match config.engine {
@@ -381,13 +408,135 @@ pub fn solve_baseline_online(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::RefCell;
+
     use haste_core::{solve_offline, OfflineConfig};
     use haste_geometry::{Angle, Vec2};
     use haste_model::{Charger, ChargingParams, Task, TimeGrid};
+    use haste_submodular::PartitionedObjective;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// One built instance, partition by partition: every policy's
+    /// orientation bits and `(task, energy bits)` deliveries.
+    pub(crate) type InstanceDigest = (usize, usize, Vec<Vec<(u64, Vec<(usize, u64)>)>>);
+
+    thread_local! {
+        static RECORDED: RefCell<Option<Vec<InstanceDigest>>> = const { RefCell::new(None) };
+    }
+
+    /// Called by [`replan_event`] with every instance it builds.
+    pub(crate) fn record_instance(instance: &HasteRInstance) {
+        RECORDED.with(|recorded| {
+            if let Some(digests) = recorded.borrow_mut().as_mut() {
+                let partitions = (0..instance.num_partitions())
+                    .map(|p| {
+                        instance
+                            .policies(p)
+                            .iter()
+                            .map(|policy| {
+                                let deliveries = policy
+                                    .deliveries
+                                    .iter()
+                                    .map(|&(task, energy)| (task, energy.to_bits()))
+                                    .collect();
+                                (policy.orientation.radians().to_bits(), deliveries)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let range = &instance.slot_range;
+                digests.push((range.start, range.end, partitions));
+            }
+        });
+    }
+
+    /// Runs `f` and returns its result with the digest of every instance
+    /// the re-planning events built meanwhile (on this thread).
+    pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<InstanceDigest>) {
+        RECORDED.with(|recorded| *recorded.borrow_mut() = Some(Vec::new()));
+        let result = f();
+        let digests = RECORDED.with(|recorded| recorded.borrow_mut().take());
+        (result, digests.expect("recording was on"))
+    }
+
+    /// Online configurations the timeline-equivalence tests sweep.
+    fn timeline_configs() -> Vec<OnlineConfig> {
+        let failures = vec![
+            ChargerFailure {
+                charger: haste_model::ChargerId(1),
+                slot: 2,
+            },
+            ChargerFailure {
+                charger: haste_model::ChargerId(4),
+                slot: 5,
+            },
+        ];
+        vec![
+            OnlineConfig::default(),
+            OnlineConfig {
+                failures: failures.clone(),
+                ..OnlineConfig::default()
+            },
+            OnlineConfig {
+                localized: true,
+                failures,
+                ..OnlineConfig::default()
+            },
+            OnlineConfig {
+                negotiation: NegotiationConfig {
+                    colors: 3,
+                    samples: 6,
+                    seed: 11,
+                },
+                localized: true,
+                ..OnlineConfig::default()
+            },
+        ]
+    }
+
+    /// `solve_online`'s event loop with fresh (empty) policy timelines at
+    /// every event: each instance is a cold build.
+    fn solve_online_cold(s: &Scenario, cov: &CoverageMap, config: &OnlineConfig) -> OnlineResult {
+        run_events(s, cov, config, |timelines| {
+            *timelines = PolicyTimelines::default()
+        })
+    }
+
+    #[test]
+    fn warm_timelines_build_the_cold_instances() {
+        for seed in [61u64, 62, 63] {
+            let s = random_scenario(seed, 6, 16, 1);
+            let cov = CoverageMap::build(&s);
+            for config in timeline_configs() {
+                let (_, warm) = recording(|| solve_online(&s, &cov, &config));
+                let (_, cold) = recording(|| solve_online_cold(&s, &cov, &config));
+                assert!(warm.len() > 1, "seed {seed}: several re-planning events");
+                assert_eq!(warm.len(), cold.len());
+                for (event, (w, c)) in warm.iter().zip(&cold).enumerate() {
+                    assert_eq!(w, c, "seed {seed} {config:?}: event {event} differs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn persistent_timelines_match_fresh_ones_exactly() {
+        for seed in [71u64, 72] {
+            let s = random_scenario(seed, 6, 16, 1);
+            let cov = CoverageMap::build(&s);
+            for config in timeline_configs() {
+                let warm = solve_online(&s, &cov, &config);
+                let cold = solve_online_cold(&s, &cov, &config);
+                assert_eq!(warm.schedule, cold.schedule, "seed {seed} {config:?}");
+                assert_eq!(warm.relaxed_value.to_bits(), cold.relaxed_value.to_bits());
+                assert_eq!(warm.stats, cold.stats);
+                assert!(warm.metrics.policy_segments <= cold.metrics.policy_segments);
+            }
+        }
+    }
 
     fn random_scenario(seed: u64, n: usize, m: usize, tau: usize) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -39,7 +39,7 @@ impl NegotiationConfig {
 /// A broadcast by charger `i` counts as `|N(s_i)|` messages (one per
 /// neighbor). A *round* is one synchronous bid/decide exchange within a
 /// (slot, color) negotiation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NegotiationStats {
     /// Total messages sent.
     pub messages: u64,

@@ -65,14 +65,48 @@ pub(crate) fn best_bid(
 }
 
 /// Samples whose color for `partition` equals `c`.
-pub(crate) fn matching_samples(cfg: &NegotiationConfig, partition: usize, c: usize) -> Vec<usize> {
-    (0..cfg.effective_samples())
-        .filter(|&s| color_of(cfg.seed, s, partition, cfg.colors.max(1)) == c)
-        .collect()
+pub(crate) fn matching_samples(
+    cfg: &NegotiationConfig,
+    partition: usize,
+    c: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let c_total = cfg.colors.max(1);
+    (0..cfg.effective_samples()).filter(move |&s| color_of(cfg.seed, s, partition, c_total) == c)
+}
+
+/// Best-of-N rounding over a flat `partitions × colors` table of fixed
+/// choices: every charger can reconstruct all N sampled color vectors from
+/// the shared seed, so the network can agree on the best sample with one
+/// cheap aggregation (not part of the per-slot negotiation the paper
+/// counts, hence not in the message stats). With C = 1 there is a single
+/// deterministic sample and this is a no-op. Values are replayed from the
+/// table in partition order so both engines compare identical
+/// floating-point sums.
+pub(crate) fn round_best_sample(
+    inst: &HasteRInstance,
+    cfg: &NegotiationConfig,
+    table: &[Option<usize>],
+) -> Selection {
+    let c_total = cfg.colors.max(1);
+    let partitions = inst.num_partitions();
+    let mut best: Option<(Vec<Option<usize>>, f64)> = None;
+    for s in 0..cfg.effective_samples() {
+        let choices: Vec<Option<usize>> = (0..partitions)
+            .map(|p| table[p * c_total + color_of(cfg.seed, s, p, c_total)])
+            .collect();
+        let value = evaluate_selection(inst, &choices);
+        if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
+            best = Some((choices, value));
+        }
+    }
+    let (choices, value) = best.unwrap_or_else(|| (Selection::empty(partitions).choices, 0.0));
+    Selection { choices, value }
 }
 
 /// Runs the negotiation over the whole instance and returns the selected
-/// policies plus communication statistics.
+/// policies plus communication statistics. Allocation-free per round: the
+/// choice table is one flat `partitions × colors` array and the per-round
+/// buffers are allocated once and reused for every (slot, color).
 pub fn negotiate_rounds(
     inst: &HasteRInstance,
     graph: &NeighborGraph,
@@ -81,22 +115,26 @@ pub fn negotiate_rounds(
     let n = graph.num_chargers();
     let k_total = inst.num_slots();
     let c_total = cfg.colors.max(1);
-    let n_samples = cfg.effective_samples();
-    let mut states: Vec<EnergyState> = (0..n_samples).map(|_| inst.new_state()).collect();
-    let mut table: Vec<Vec<Option<usize>>> = vec![vec![None; c_total]; inst.num_partitions()];
+    let mut states: Vec<EnergyState> = (0..cfg.effective_samples())
+        .map(|_| inst.new_state())
+        .collect();
+    // table[p · C + c]: the choice partition p fixed under color c.
+    let mut table: Vec<Option<usize>> = vec![None; inst.num_partitions() * c_total];
     let mut stats = NegotiationStats::new(k_total);
+    // done[i]: charger i no longer participates in the current (k, c).
+    let mut done = vec![false; n];
+    let mut bids: Vec<Option<(f64, usize)>> = vec![None; n];
+    let mut fixers: Vec<(usize, usize)> = Vec::with_capacity(n);
 
     for rel_k in 0..k_total {
-        #[allow(clippy::needless_range_loop)]
         for c in 0..c_total {
-            // done[i]: charger i no longer participates in this (k, c).
-            let mut done: Vec<bool> = (0..n)
-                .map(|i| inst.num_choices(rel_k * n + i) == 0)
-                .collect();
+            for (i, d) in done.iter_mut().enumerate() {
+                *d = inst.num_choices(rel_k * n + i) == 0;
+            }
             loop {
                 stats.add_round(rel_k);
                 // Bid phase: every participating charger broadcasts.
-                let mut bids: Vec<Option<(f64, usize)>> = vec![None; n];
+                bids.fill(None);
                 let mut any_participant = false;
                 for i in 0..n {
                     if done[i] {
@@ -113,8 +151,7 @@ pub fn negotiate_rounds(
                     break;
                 }
                 // Decide phase: local maxima fix their policies.
-                let mut any_fixed = false;
-                let mut fixers: Vec<(usize, usize)> = Vec::new();
+                fixers.clear();
                 for i in 0..n {
                     let Some((gain, choice)) = bids[i] else {
                         // First zero bid → drop out for this (k, c).
@@ -131,44 +168,24 @@ pub fn negotiate_rounds(
                 }
                 for &(i, choice) in &fixers {
                     let p = rel_k * n + i;
-                    table[p][c] = Some(choice);
+                    table[p * c_total + c] = Some(choice);
                     for s in matching_samples(cfg, p, c) {
                         inst.commit(&mut states[s], p, choice);
                         stats.oracle_commits += 1;
                     }
                     done[i] = true;
-                    any_fixed = true;
                     // UPD broadcast.
                     stats.add_messages(rel_k, graph.degree(i) as u64);
                 }
-                if !any_fixed {
+                if fixers.is_empty() {
                     break;
                 }
             }
         }
     }
 
-    // Rounding: every charger can reconstruct all N sampled color vectors
-    // from the shared seed, so the network can agree on the best sample
-    // with one cheap aggregation (not part of the per-slot negotiation the
-    // paper counts, hence not in the message stats). With C = 1 there is a
-    // single deterministic sample and this is a no-op. Values are replayed
-    // from the table in partition order so both engines compare identical
-    // floating-point sums.
     drop(states);
-    let mut best: Option<(Vec<Option<usize>>, f64)> = None;
-    for s in 0..n_samples {
-        let choices: Vec<Option<usize>> = (0..inst.num_partitions())
-            .map(|p| table[p][color_of(cfg.seed, s, p, c_total)])
-            .collect();
-        let value = evaluate_selection(inst, &choices);
-        if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
-            best = Some((choices, value));
-        }
-    }
-    let (choices, value) =
-        best.unwrap_or_else(|| (Selection::empty(inst.num_partitions()).choices, 0.0));
-    (Selection { choices, value }, stats)
+    (round_best_sample(inst, cfg, &table), stats)
 }
 
 #[cfg(test)]

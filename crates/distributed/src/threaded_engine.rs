@@ -20,11 +20,11 @@ use std::sync::Barrier;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use haste_core::{EnergyState, HasteRInstance};
-use haste_submodular::{evaluate_selection, PartitionedObjective, Selection};
+use haste_submodular::{PartitionedObjective, Selection};
 
 use crate::neighbors::NeighborGraph;
 use crate::protocol::{NegotiationConfig, NegotiationStats};
-use crate::round_engine::{best_bid, matching_samples};
+use crate::round_engine::{best_bid, matching_samples, round_best_sample};
 
 /// One message on the control channel between neighboring chargers.
 #[derive(Debug, Clone, Copy)]
@@ -117,27 +117,15 @@ pub fn negotiate_threaded(
             .collect()
     });
 
-    let mut table: Vec<Vec<Option<usize>>> = vec![vec![None; c_total]; inst.num_partitions()];
+    let mut table: Vec<Option<usize>> = vec![None; inst.num_partitions() * c_total];
     for fixes in &fixes_per_charger {
         for &(p, c, x) in fixes {
-            table[p][c] = Some(x);
+            table[p * c_total + c] = Some(x);
         }
     }
     // Best-of-N rounding, identical to the round engine's (each sample's
     // induced solution is replayed from the assembled table).
-    let n_samples = cfg.effective_samples();
-    let mut best: Option<(Vec<Option<usize>>, f64)> = None;
-    for s in 0..n_samples {
-        let choices: Vec<Option<usize>> = (0..inst.num_partitions())
-            .map(|p| table[p][crate::protocol::color_of(cfg.seed, s, p, c_total)])
-            .collect();
-        let value = evaluate_selection(inst, &choices);
-        if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
-            best = Some((choices, value));
-        }
-    }
-    let (choices, value) =
-        best.unwrap_or_else(|| (Selection::empty(inst.num_partitions()).choices, 0.0));
+    let selection = round_best_sample(inst, cfg, &table);
 
     let mut stats = NegotiationStats::new(k_total);
     stats.messages = total_messages.load(Ordering::Relaxed);
@@ -149,7 +137,7 @@ pub fn negotiate_threaded(
         stats.per_slot_rounds[k] = r;
         stats.rounds += r;
     }
-    (Selection { choices, value }, stats)
+    (selection, stats)
 }
 
 /// The per-charger thread body: local state, bid/decide rounds.
