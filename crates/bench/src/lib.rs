@@ -1,4 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the figure-regeneration binaries (`figures`,
+//! `headline`, `ablation`, `offline_solve`).
 //!
 //! Every binary accepts the same flags:
 //!
@@ -39,6 +40,17 @@ pub struct RunConfig {
 
 /// Parses `std::env::args`; exits with a usage message on error.
 pub fn parse_args() -> RunConfig {
+    let (config, names) = parse_args_with_names();
+    if let Some(name) = names.first() {
+        usage(&format!("unknown flag {name}"));
+    }
+    config
+}
+
+/// [`parse_args`] for binaries that also take positional names (the
+/// `figures` binary): returns them in command-line order.
+pub fn parse_args_with_names() -> (RunConfig, Vec<String>) {
+    let mut names = Vec::new();
     let mut ctx = ExperimentCtx::default();
     let mut out_dir = default_out_dir();
     let mut args = std::env::args().skip(1);
@@ -71,10 +83,11 @@ pub fn parse_args() -> RunConfig {
                     .unwrap_or_else(|| usage("--out needs a path"));
             }
             "--help" | "-h" => usage(""),
+            name if !name.starts_with('-') => names.push(name.to_string()),
             other => usage(&format!("unknown flag {other}")),
         }
     }
-    RunConfig { ctx, out_dir }
+    (RunConfig { ctx, out_dir }, names)
 }
 
 fn usage(err: &str) -> ! {
@@ -82,8 +95,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <figure-binary> [--paper | --quick | --topologies N] \
-         [--seed S] [--threads T] [--out DIR]"
+        "usage: <binary> [--paper | --quick | --topologies N] \
+         [--seed S] [--threads T] [--out DIR] (`figures` also takes figure names or `all`)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -4,8 +4,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// `2π`, the full circle.
 pub const TAU: f64 = std::f64::consts::TAU;
 
@@ -20,8 +18,7 @@ pub const TAU: f64 = std::f64::consts::TAU;
 /// `Angle` intentionally does **not** implement `Ord`: there is no total
 /// order on the circle. Use [`Angle::ccw_delta`] relative to a reference
 /// direction when a sweep order is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Angle(f64);
 
 impl Angle {

@@ -1,7 +1,5 @@
 //! Circular arcs of directions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Angle, TAU};
 
 /// A closed arc of directions on the circle, described by a start direction
@@ -12,7 +10,7 @@ use crate::{Angle, TAU};
 /// centered at the task's azimuth from the charger.
 ///
 /// A width of `2π` (or more, clamped) denotes the full circle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arc {
     start: Angle,
     width: f64,

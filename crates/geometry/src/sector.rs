@@ -1,7 +1,5 @@
 //! Sector-shaped coverage areas of the directional charging model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Angle, Vec2};
 
 /// A sector in the plane: apex, facing direction, full opening angle and
@@ -11,7 +9,7 @@ use crate::{Angle, Vec2};
 /// *charging area* (opening angle `A_s`) and a device's *receiving area*
 /// (opening angle `A_o`) are sectors of radius `D`. A device is chargeable by
 /// a charger iff each lies in the other's sector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sector {
     /// Apex of the sector (the charger / device position).
     pub apex: Vec2,

@@ -2,8 +2,6 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Angle;
 
 /// A point or displacement vector in the 2D plane, in meters.
@@ -11,7 +9,7 @@ use crate::Angle;
 /// `Vec2` is used both for positions (charger and device locations) and for
 /// direction vectors (the `r_θ` unit vectors of the charging model). It is a
 /// plain `Copy` value type.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Horizontal coordinate.
     pub x: f64,

@@ -1,9 +1,8 @@
 //! Plain-text scenario serialization.
 //!
-//! All model types derive `serde`, but this workspace deliberately ships no
-//! serde *format* crate; for interoperability (hand-written instances,
-//! diffable fixtures, piping between tools) scenarios also round-trip
-//! through a simple line-oriented text format:
+//! This workspace ships no serialization framework: for interoperability
+//! (hand-written instances, diffable fixtures, piping between tools)
+//! scenarios round-trip through a simple line-oriented text format:
 //!
 //! ```text
 //! # haste scenario v1

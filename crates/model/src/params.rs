@@ -1,7 +1,5 @@
 //! Constants of the directional charging model.
 
-use serde::{Deserialize, Serialize};
-
 /// How a device's harvested power depends on the direction the energy
 /// arrives from, *within* its receiving sector.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// is a fixed factor per (charger, device) pair — independent of the
 /// charger's rotating orientation — so every scheduling result and
 /// guarantee in this crate family carries over unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ReceiverGain {
     /// Isotropic within the receiving sector (the paper's model).
     #[default]
@@ -44,7 +42,7 @@ impl ReceiverGain {
 /// that covers it (and that it covers back) is `α / (d + β)²`; coverage is
 /// limited to distance `D` and to the two sector opening angles `A_s`
 /// (charger side) and `A_o` (device side).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargingParams {
     /// Power-law numerator `α` (watt·m²-ish, fitted empirically).
     pub alpha: f64,
@@ -58,7 +56,6 @@ pub struct ChargingParams {
     pub receiving_angle: f64,
     /// Anisotropy of the device-side harvest (default: the paper's
     /// isotropic sector).
-    #[serde(default)]
     pub receiver_gain: ReceiverGain,
 }
 

@@ -1,16 +1,14 @@
 //! Full problem instances.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     Charger, ChargingParams, ConcavePower, LinearBounded, ModelError, Task, TimeGrid, UtilityFn,
 };
 
-/// Serializable choice of charging utility function.
+/// The charging utility function a scenario uses.
 ///
 /// Algorithms are generic over [`UtilityFn`]; scenarios carry this enum so
-/// instances round-trip through serde.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+/// the choice round-trips through the text format ([`crate::io`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum UtilityModel {
     /// The paper's linear-bounded utility (Eq. 1).
     #[default]
@@ -45,7 +43,7 @@ impl UtilityFn for UtilityModel {
 /// model constants, the slotted time grid, the chargers and tasks, the
 /// switching delay `ρ` and (for the online scenario) the rescheduling delay
 /// `τ`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Charging model constants.
     pub params: ChargingParams,
@@ -60,7 +58,6 @@ pub struct Scenario {
     /// Rescheduling delay `τ` in whole slots (online scenario only).
     pub tau: usize,
     /// Utility function applied to every task.
-    #[serde(default)]
     pub utility: UtilityModel,
 }
 

@@ -1,7 +1,6 @@
 //! Per-charger, per-slot orientation schedules.
 
 use haste_geometry::Angle;
-use serde::{Deserialize, Serialize};
 
 use crate::{ChargerId, Slot};
 
@@ -14,7 +13,7 @@ pub type Orientation = Option<Angle>;
 /// `None` entries denote a charger that is not asked to serve anything in
 /// that slot; it emits no power and — since it does not rotate — incurs no
 /// switching delay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// `orientations[i][k]` is charger `i`'s orientation in slot `k`.
     orientations: Vec<Vec<Orientation>>,

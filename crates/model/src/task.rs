@@ -1,18 +1,15 @@
 //! Chargers and charging tasks.
 
 use haste_geometry::{Angle, Sector, Vec2};
-use serde::{Deserialize, Serialize};
 
 use crate::{ChargingParams, Slot};
 
 /// Identifier of a charger (`s_i`). Indexes into `Scenario::chargers`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChargerId(pub u32);
 
 /// Identifier of a charging task (`T_j`). Indexes into `Scenario::tasks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl ChargerId {
@@ -35,7 +32,7 @@ impl TaskId {
 ///
 /// Its orientation is the decision variable of HASTE and therefore lives in
 /// [`crate::Schedule`], not here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Charger {
     /// Identifier; must equal the charger's index in the scenario.
     pub id: ChargerId,
@@ -63,7 +60,7 @@ impl Charger {
 /// Times are expressed in slots: the task is active during slots
 /// `release_slot .. end_slot` (half-open), matching the paper's convention
 /// that `t_r` falls at a slot start and `t_e` at a slot end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Task {
     /// Identifier; must equal the task's index in the scenario.
     pub id: TaskId,

@@ -1,7 +1,5 @@
 //! The discrete slot model of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a time slot (`k` in the paper), zero-based.
 pub type Slot = usize;
 
@@ -9,7 +7,7 @@ pub type Slot = usize;
 ///
 /// The paper assumes task release times fall at slot starts and end times at
 /// slot ends, so a task occupies an integral, contiguous range of slots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeGrid {
     /// Slot duration `T_s` in seconds.
     pub slot_seconds: f64,

@@ -7,8 +7,6 @@
 //! so the trait below is the extension point and [`ConcavePower`] is one such
 //! extension.
 
-use serde::{Deserialize, Serialize};
-
 /// A normalized, monotone, concave charging utility `U : energy ↦ [0, 1]`.
 ///
 /// Implementations must satisfy, for the submodularity of the HASTE-R
@@ -35,7 +33,7 @@ pub trait UtilityFn: Send + Sync {
 }
 
 /// The paper's Eq. (1): `U(x) = x / E_j` for `x ≤ E_j`, else `1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearBounded;
 
 impl UtilityFn for LinearBounded {
@@ -60,7 +58,7 @@ impl UtilityFn for LinearBounded {
 /// `p = 1` coincides with [`LinearBounded`]; smaller exponents reward the
 /// first joules more, modeling devices whose marginal value of energy decays
 /// (e.g. battery health). Used by the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcavePower {
     /// Exponent `p ∈ (0, 1]`.
     pub exponent: f64,

@@ -34,7 +34,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use haste_distributed::TaskSpec;
 use haste_geometry::{Angle, Vec2};
 
-use crate::proto::{ErrCode, Reply, Request, VERSION_V3};
+use crate::proto::{ErrCode, Refusal, Reply, Request, VERSION_V3};
 
 /// Client→server: a text request line plus its embedded payload lines.
 pub(crate) const OP_TEXT: u8 = 0x01;
@@ -99,6 +99,12 @@ impl BatchAck {
             code: code.as_str().to_string(),
             message: message.into(),
         }
+    }
+}
+
+impl From<Refusal> for BatchAck {
+    fn from((code, message): Refusal) -> BatchAck {
+        BatchAck::rejected(code, message)
     }
 }
 

@@ -26,10 +26,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use haste_distributed::TaskSpec;
+use haste_geometry::{Angle, Vec2};
 use haste_parallel::ThreadPool;
 
 use crate::framing::{self, BatchAck, MAX_FRAME};
-use crate::proto::{ErrCode, Reply, Request};
+use crate::proto::{ErrCode, Refusal, Reply, Request};
 use crate::telemetry::{self, Telemetry};
 
 /// How long a handler blocks on a read before re-checking the shutdown
@@ -48,16 +49,16 @@ pub(crate) trait Endpoint: Send + Sync + 'static {
     /// (the daemon has none; the router keeps the tenant binding).
     type Session: Default;
 
-    /// Executes one parsed request; returns the reply and whether the
-    /// connection should close. `LOAD`/`RESTORE` read their payload lines
-    /// from `reader` (the socket, or the body of a v3 frame) with
-    /// [`read_payload`].
-    fn execute<R: BufRead>(
+    /// Executes one parsed request: `Ok` with its reply, or `Err` with
+    /// the refusal it is answered with. `payload` is the document of a
+    /// `LOAD`/`RESTORE` ([`dispatch`] has read it already), empty for
+    /// every other verb.
+    fn execute(
         &self,
         request: Request,
-        reader: &mut R,
+        payload: &str,
         session: &Self::Session,
-    ) -> std::io::Result<(Reply, bool)>;
+    ) -> Result<Reply, Reply>;
 
     /// Executes one `OP_BATCH` submission frame: one ack per record, in
     /// frame order.
@@ -234,7 +235,7 @@ pub(crate) fn read_line_polling<R: BufRead>(
 /// before closing the connection: the stream ended early, or the document
 /// would exceed [`MAX_FRAME`] bytes — the stream is desynchronized beyond
 /// recovery either way.
-pub(crate) fn read_payload<R: BufRead>(
+fn read_payload<R: BufRead>(
     reader: &mut R,
     count: usize,
     shutdown: &AtomicBool,
@@ -349,7 +350,8 @@ fn serve_framed<E: Endpoint, R: BufRead, W: Write>(
 }
 
 /// Parses and executes one request; returns the reply and whether the
-/// connection should close.
+/// connection should close: after `BYE`, and after a refused
+/// `LOAD`/`RESTORE` payload read (the stream is desynchronized).
 ///
 /// Execution runs under [`catching`]: a panic anywhere in a handler (or in
 /// the engine underneath it) becomes a structured `ERR internal` reply
@@ -371,7 +373,18 @@ pub(crate) fn dispatch<E: Endpoint, R: BufRead>(
     let opcode = request.opcode();
     let start = telemetry::clock_start();
     let result = catching(AssertUnwindSafe(|| {
-        endpoint.execute(request, reader, session)
+        let payload = match request {
+            Request::Load(count) | Request::Restore(count) => {
+                match read_payload(reader, count, endpoint.shutdown(), opcode)? {
+                    Ok(payload) => payload,
+                    Err(refusal) => return Ok((refusal, true)),
+                }
+            }
+            _ => String::new(),
+        };
+        let close = matches!(request, Request::Bye);
+        let (Ok(reply) | Err(reply)) = endpoint.execute(request, &payload, session);
+        Ok((reply, close))
     }));
     if let Ok((reply, _)) = &result {
         endpoint
@@ -379,6 +392,37 @@ pub(crate) fn dispatch<E: Endpoint, R: BufRead>(
             .observe_request(opcode, telemetry::elapsed_us(start), reply);
     }
     result
+}
+
+/// The finiteness check every endpoint runs on a submission before it
+/// reaches any state: a non-finite position or facing is `ERR bad-task`.
+pub(crate) fn finite(spec: TaskSpec) -> Result<TaskSpec, Refusal> {
+    if spec.device_pos.x.is_finite()
+        && spec.device_pos.y.is_finite()
+        && spec.device_facing.radians().is_finite()
+    {
+        Ok(spec)
+    } else {
+        Err((ErrCode::BadTask, "non-finite position/facing".to_string()))
+    }
+}
+
+/// The task a text `SUBMIT` describes, checked by [`finite`].
+pub(crate) fn text_submission(
+    x: f64,
+    y: f64,
+    facing: f64,
+    end_slot: usize,
+    energy: f64,
+    weight: f64,
+) -> Result<TaskSpec, Refusal> {
+    finite(TaskSpec {
+        device_pos: Vec2::new(x, y),
+        device_facing: Angle::from_radians(facing),
+        end_slot,
+        required_energy: energy,
+        weight,
+    })
 }
 
 /// Runs one request handler, converting a panic into an `ERR internal`

@@ -155,6 +155,17 @@ impl Reply {
     }
 }
 
+/// A refused request: the code and message of its `ERR` reply. Handlers
+/// build each refusal in one place and convert it at the edge — into a
+/// [`Reply`] (with `?`) or into one batch ack per record.
+pub(crate) type Refusal = (ErrCode, String);
+
+impl From<Refusal> for Reply {
+    fn from((code, message): Refusal) -> Reply {
+        Reply::Err(code, message)
+    }
+}
+
 /// A parsed request line. Multi-line payload sections (`LOAD`, `RESTORE`)
 /// carry their announced line count; the connection handler reads the
 /// payload lines after parsing the head line.

@@ -103,10 +103,10 @@ use parking_lot::Mutex;
 
 use crate::client::Client;
 use crate::framing::BatchAck;
-use crate::front::{read_payload, Endpoint, Running};
-use crate::proto::{ErrCode, Reply, Request};
-use crate::server::{hello_reply, parts_payload, shard_err, shard_err_parts, shard_line};
-use crate::shard::{Shard, ShardHealth, ShardStatus, UtilityParts};
+use crate::front::{finite, text_submission, Endpoint, Running};
+use crate::proto::{ErrCode, Refusal, Reply, Request};
+use crate::server::{hello_reply, parts_payload, shard_err, shard_line, slot_reply};
+use crate::shard::{Shard, ShardError, ShardHealth, ShardStatus, UtilityParts};
 use crate::supervisor::{
     resolve_shardd, Launcher, ProcessShardConfig, RemoteShard, ShardSlot, SlotError,
 };
@@ -348,13 +348,13 @@ impl Endpoint for RouterShared {
     /// loop hands the session to two closures (text and batch frames).
     type Session = RefCell<Session>;
 
-    fn execute<R: BufRead>(
+    fn execute(
         &self,
         request: Request,
-        reader: &mut R,
+        payload: &str,
         session: &RefCell<Session>,
-    ) -> std::io::Result<(Reply, bool)> {
-        execute(request, reader, self, session)
+    ) -> Result<Reply, Reply> {
+        execute(request, payload, self, session)
     }
 
     fn execute_batch(&self, specs: &[TaskSpec], session: &RefCell<Session>) -> Vec<BatchAck> {
@@ -594,14 +594,15 @@ fn serve_scrape_with(
 }
 
 /// Executes a batched submission on the router: one lock acquisition,
-/// then per record the exact `SUBMIT` path — finiteness check, quota
-/// gate, cell routing, shard admission, and a push onto the tenant's
-/// arrival order and operation history. Holding the lock across the
-/// whole frame means the batch occupies a contiguous run of the arrival
-/// order, but any interleaving with other connections' submissions would
-/// be equally valid: within a slot the recorded order *is* the
-/// determinism contract, exactly as for text submits racing on separate
-/// connections.
+/// the same [`writable`] gate as `SUBMIT`, then per record the exact
+/// `SUBMIT` path — finiteness check, quota gate, cell routing, shard
+/// admission, and a push onto the tenant's arrival order and operation
+/// history. Holding the lock across the whole frame means the batch
+/// occupies a contiguous run of the arrival order, but any interleaving
+/// with other connections' submissions would be equally valid: within a
+/// slot the recorded order *is* the determinism contract, exactly as for
+/// text submits racing on separate connections. A gate refusal or a
+/// failed log append refuses every record.
 fn execute_batch(
     specs: &[TaskSpec],
     shared: &RouterShared,
@@ -610,84 +611,49 @@ fn execute_batch(
     let tenant_id = session.borrow().tenant.clone();
     let mut core = shared.core.lock();
     let mut records: Vec<WalRecord> = Vec::new();
-    let mut acks: Vec<BatchAck> = if wal_poisoned(&core, &tenant_id) {
-        let (code, message) = wal_poisoned_parts(&tenant_id);
+    let acks = writable(&mut core, &tenant_id).map(|tenant| {
         specs
             .iter()
-            .map(|_| BatchAck::rejected(code, message.clone()))
-            .collect()
-    } else {
-        match core.tenants.get_mut(&tenant_id) {
-            None => {
-                let (code, message) = unknown_tenant_parts(&tenant_id);
-                specs
-                    .iter()
-                    .map(|_| BatchAck::rejected(code, message.clone()))
-                    .collect()
-            }
-            Some(tenant) => specs
-                .iter()
-                .map(|spec| {
-                    if !(spec.device_pos.x.is_finite()
-                        && spec.device_pos.y.is_finite()
-                        && spec.device_facing.radians().is_finite())
-                    {
-                        // Never reached the tenant: nothing to log.
-                        BatchAck::rejected(ErrCode::BadTask, "non-finite position/facing")
-                    } else {
-                        // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
-                        match submit_routed(tenant, &tenant_id, *spec, shared) {
-                            Ok((global, release, _shard)) => {
-                                records.push(WalRecord::Submit(*spec));
-                                BatchAck::Ok {
-                                    task: global as u64,
-                                    release: release as u64,
-                                }
-                            }
-                            Err((code, message)) => {
-                                records.push(WalRecord::Reject {
-                                    code: code.as_str().to_string(),
-                                    spec: *spec,
-                                });
-                                BatchAck::rejected(code, message)
-                            }
-                        }
-                    }
-                })
-                .collect(),
-        }
-    };
-    if !wal_append(&mut core, shared, &tenant_id, &records) {
-        // The whole frame's durability failed: no record may be acked as
-        // applied, because none of them would survive recovery.
-        let (code, message) = wal_poisoned_parts(&tenant_id);
-        acks = specs
-            .iter()
-            .map(|_| BatchAck::rejected(code, message.clone()))
-            .collect();
+            .map(|spec| {
+                // A non-finite record never reaches the tenant: nothing to log.
+                let spec = match finite(*spec) {
+                    Ok(spec) => spec,
+                    Err(refusal) => return refusal.into(),
+                };
+                // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
+                let routed = submit_routed(tenant, &tenant_id, spec, shared);
+                records.push(admission_record(&routed, spec));
+                match routed {
+                    Ok((global, release, _shard)) => BatchAck::Ok {
+                        task: global as u64,
+                        release: release as u64,
+                    },
+                    Err(refusal) => refusal.into(),
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    // The whole frame is durable or none of it is acked: a record acked
+    // as applied but missing from the log would not survive recovery.
+    match acks.and_then(|acks| wal_append(&mut core, shared, &tenant_id, &records).map(|()| acks)) {
+        Ok(acks) => acks,
+        Err(refusal) => specs.iter().map(|_| refusal.clone().into()).collect(),
     }
-    acks
 }
 
 /// Maps a partition failure onto the wire error space: geometry/split
 /// violations are the client's scenario-vs-topology mismatch.
-fn partition_err(e: PartitionError) -> Reply {
-    Reply::Err(ErrCode::Unpartitionable, e.to_string())
+fn partition_err(e: PartitionError) -> Refusal {
+    (ErrCode::Unpartitionable, e.to_string())
 }
 
 /// Maps a shard-slot failure onto the wire error space. Structured child
 /// errors pass through with their original code; a down shard becomes
 /// `ERR unavailable` with the cell index leading the message, so clients
 /// can tell *which* cell is degraded without a `SHARDS?` round trip.
-fn slot_err(e: SlotError) -> Reply {
-    let (code, message) = slot_err_parts(e);
-    Reply::Err(code, message)
-}
-
-/// The code/message pair of [`slot_err`], for the batch-ack path.
-fn slot_err_parts(e: SlotError) -> (ErrCode, String) {
+fn slot_err(e: SlotError) -> Refusal {
     match e {
-        SlotError::Shard(e) => shard_err_parts(e),
+        SlotError::Shard(e) => shard_err(e),
         SlotError::Remote { code, message } => (code, message),
         SlotError::Unavailable { cell, detail } => {
             (ErrCode::Unavailable, format!("{cell} shard down: {detail}"))
@@ -695,33 +661,57 @@ fn slot_err_parts(e: SlotError) -> (ErrCode, String) {
     }
 }
 
-/// The code/message pair of the never-created-tenant error.
-fn unknown_tenant_parts(id: &str) -> (ErrCode, String) {
-    (
-        ErrCode::UnknownTenant,
-        format!("tenant `{id}` does not exist (LOAD creates it)"),
-    )
+fn internal(reason: &str) -> Refusal {
+    (ErrCode::Internal, reason.to_string())
 }
 
-/// `ERR unknown-tenant` as a reply.
-fn unknown_tenant(id: &str) -> Reply {
-    let (code, message) = unknown_tenant_parts(id);
-    Reply::Err(code, message)
+/// The stable text of a refusal, for recovery error reporting.
+fn refusal_text((code, message): Refusal) -> String {
+    format!("{} {message}", code.as_str())
 }
 
-/// The session's tenant, or `ERR unknown-tenant`.
-fn tenant_mut<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Reply> {
+/// The tenant-existence gate: the session's tenant, or
+/// `ERR unknown-tenant`.
+fn known<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Refusal> {
     match core.tenants.get_mut(id) {
         Some(tenant) => Ok(tenant),
-        None => Err(unknown_tenant(id)),
+        None => Err((
+            ErrCode::UnknownTenant,
+            format!("tenant `{id}` does not exist (LOAD creates it)"),
+        )),
     }
 }
 
-/// Shared-reference variant of [`tenant_mut`].
-fn tenant_ref<'a>(core: &'a RouterCore, id: &str) -> Result<&'a TenantCore, Reply> {
-    match core.tenants.get(id) {
-        Some(tenant) => Ok(tenant),
-        None => Err(unknown_tenant(id)),
+/// The refusal every mutation of a tenant in the fail-stop state gets
+/// (see [`WalHandle`]).
+fn read_only(id: &str) -> Refusal {
+    internal(&format!(
+        "tenant `{id}` is read-only: its write-ahead log failed; restart the router to recover, or RESTORE a snapshot"
+    ))
+}
+
+/// Refuses a mutation of a tenant whose log is in the fail-stop state.
+fn refuse_read_only(core: &RouterCore, id: &str) -> Result<(), Refusal> {
+    match core.wals.get(id) {
+        Some(WalHandle::Poisoned) => Err(read_only(id)),
+        _ => Ok(()),
+    }
+}
+
+/// The mutation gate (`SUBMIT`, batches, `TICK`, `RESHARD`): a read-only
+/// tenant is refused first, then an unknown one (DESIGN.md §9).
+fn writable<'a>(core: &'a mut RouterCore, id: &str) -> Result<&'a mut TenantCore, Refusal> {
+    refuse_read_only(core, id)?;
+    known(core, id)
+}
+
+/// The engine gate (`CLOCK?`, `TICK`): the tenant must hold a scenario.
+/// Chained after [`known`] or [`writable`], so an unknown tenant is
+/// refused before a not-loaded one.
+fn loaded(tenant: &mut TenantCore) -> Result<&mut TenantCore, Refusal> {
+    match tenant.partition {
+        Some(_) => Ok(tenant),
+        None => Err(shard_err(ShardError::NoScenario)),
     }
 }
 
@@ -729,53 +719,46 @@ fn tenant_ref<'a>(core: &'a RouterCore, id: &str) -> Result<&'a TenantCore, Repl
 /// freshly spawned `haste-shardd` child via the retained launcher. New
 /// slots carry no fault directives — the fault plan bound to the cells
 /// that existed at startup.
-fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<ShardSlot, Reply> {
+fn fresh_slot(shared: &RouterShared, cell: usize) -> Result<ShardSlot, Refusal> {
     match &shared.launcher {
         None => Ok(ShardSlot::Local(Shard::new(
             shared.config.scheduling.clone(),
             shared.config.max_pending,
         ))),
-        Some(launcher) => match RemoteShard::launch(
+        Some(launcher) => RemoteShard::launch(
             cell,
             launcher.clone(),
             Vec::new(),
             SupervisorCounters::for_cell(shared.telemetry.registry(), cell),
-        ) {
-            Ok(shard) => Ok(ShardSlot::Remote(shard)),
-            Err(e) => Err(internal(&format!("spawning a shard child failed: {e}"))),
-        },
+        )
+        .map(ShardSlot::Remote)
+        .map_err(|e| internal(&format!("spawning a shard child failed: {e}"))),
     }
 }
 
-/// Creates tenant `id` with an empty fleet on the configured grid if it
-/// does not exist yet (the `LOAD` path; `TENANT` only selects).
-fn ensure_tenant(
-    core: &mut RouterCore,
+/// The session's tenant for `LOAD`, created with an empty fleet on the
+/// configured grid if it does not exist yet (`TENANT` only selects). A
+/// quota parked by `TENANT` applies only to a tenant created here, where
+/// the `LOAD`'s checkpoint makes it durable; on a tenant that already
+/// exists (another connection created it) it would hold in memory with
+/// no log record behind it, so it is dropped.
+fn ensure_tenant<'a>(
+    core: &'a mut RouterCore,
     shared: &RouterShared,
     id: &str,
     quota: Option<u64>,
-) -> Result<(), Reply> {
-    if let Some(tenant) = core.tenants.get_mut(id) {
-        if quota.is_some() {
-            tenant.quota = quota;
-        }
-        return Ok(());
+) -> Result<&'a mut TenantCore, Refusal> {
+    if !core.tenants.contains_key(id) {
+        let count = shared.config.cells.0 * shared.config.cells.1;
+        let shards = (0..count)
+            .map(|cell| fresh_slot(shared, cell))
+            .collect::<Result<Vec<_>, _>>()?;
+        let counters = TenantCounters::for_tenant(shared.telemetry.registry(), id);
+        core.tenants
+            .insert(id.to_string(), TenantCore::new(shards, quota, counters));
+        TenantCounters::set_shards(shared.telemetry.registry(), id, count);
     }
-    let count = shared.config.cells.0 * shared.config.cells.1;
-    let mut shards = Vec::with_capacity(count);
-    for cell in 0..count {
-        shards.push(fresh_slot(shared, cell)?);
-    }
-    core.tenants.insert(
-        id.to_string(),
-        TenantCore::new(
-            shards,
-            quota,
-            TenantCounters::for_tenant(shared.telemetry.registry(), id),
-        ),
-    );
-    TenantCounters::set_shards(shared.telemetry.registry(), id, count);
-    Ok(())
+    known(core, id)
 }
 
 /// The shared `SUBMIT` path (text and batch): quota gate, cell routing
@@ -788,9 +771,9 @@ fn submit_routed(
     tenant_id: &str,
     spec: TaskSpec,
     shared: &RouterShared,
-) -> Result<(usize, usize, usize), (ErrCode, String)> {
+) -> Result<(usize, usize, usize), Refusal> {
     let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err_parts(crate::shard::ShardError::NoScenario));
+        return Err(shard_err(ShardError::NoScenario));
     };
     if let Some(quota) = tenant.quota {
         if tenant.quota_used >= quota {
@@ -807,7 +790,7 @@ fn submit_routed(
     let shard_index = tenant.map.shard_of(cell) as usize;
     let outcome = match tenant.shards.get(shard_index) {
         Some(shard) => shard.submit(spec),
-        None => Err(SlotError::Shard(crate::shard::ShardError::NoScenario)),
+        None => Err(SlotError::Shard(ShardError::NoScenario)),
     };
     match outcome {
         Ok((_local, release)) => {
@@ -823,37 +806,40 @@ fn submit_routed(
             }
             Ok((global, release, shard_index))
         }
-        Err(e) => Err(slot_err_parts(e)),
+        Err(e) => Err(slot_err(e)),
     }
 }
 
-/// Whether a tenant's log is in the fail-stop state (see [`WalHandle`]).
-fn wal_poisoned(core: &RouterCore, tenant_id: &str) -> bool {
-    matches!(core.wals.get(tenant_id), Some(WalHandle::Poisoned))
-}
-
-/// The reply every mutation on a poisoned tenant gets.
-fn wal_poisoned_reply(tenant_id: &str) -> Reply {
-    internal(&format!(
-        "tenant `{tenant_id}` is read-only: its write-ahead log failed; restart the router to recover, or RESTORE a snapshot"
-    ))
-}
-
-/// The error-code/message pair of [`wal_poisoned_reply`], for batch acks.
-fn wal_poisoned_parts(tenant_id: &str) -> (ErrCode, String) {
-    match wal_poisoned_reply(tenant_id) {
-        Reply::Err(code, message) => (code, message),
-        _ => (ErrCode::Internal, "write-ahead log failed".to_string()),
+/// The log record of one admission decision: an accepted submission
+/// replays; a rejection is logged so the decision itself is durable.
+fn admission_record<T>(routed: &Result<T, Refusal>, spec: TaskSpec) -> WalRecord {
+    match routed {
+        Ok(_) => WalRecord::Submit(spec),
+        Err((code, _)) => WalRecord::Reject {
+            code: code.as_str().to_string(),
+            spec,
+        },
     }
+}
+
+/// Puts a durable tenant into the fail-stop state (see [`WalHandle`])
+/// after its log failed at `what`, and returns the refusal every further
+/// mutation of it gets.
+fn poison(core: &mut RouterCore, tenant_id: &str, what: &str, e: std::io::Error) -> Refusal {
+    eprintln!(
+        "haste-router: {what} for tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
+    );
+    core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
+    read_only(tenant_id)
 }
 
 /// Logs already-applied operations to a durable tenant's WAL, fsyncing
 /// per the configured policy (`always`, or `every-tick` when the batch
-/// carries a slot close). Returns `true` when the operations are as
-/// durable as the policy promises — including the vacuous cases (no WAL
-/// configured, tenant has no log yet). On a write or sync failure the
-/// tenant's log poisons (fail-stop; see [`WalHandle`]) and the caller
-/// must reply `ERR internal` *instead of* the success ack, because an
+/// carries a slot close). `Ok` when the operations are as durable as the
+/// policy promises — including the vacuous cases (no WAL configured,
+/// tenant has no log yet). On a write or sync failure the tenant's log
+/// poisons (fail-stop; see [`WalHandle`]) and the caller must reply with
+/// the refusal *instead of* the success ack, because an
 /// acked-but-unlogged mutation would survive in memory but not in
 /// recovery.
 fn wal_append(
@@ -861,17 +847,17 @@ fn wal_append(
     shared: &RouterShared,
     tenant_id: &str,
     records: &[WalRecord],
-) -> bool {
+) -> Result<(), Refusal> {
     let Some(runtime) = shared.wal.as_ref() else {
-        return true;
+        return Ok(());
     };
     if records.is_empty() {
-        return true;
+        return Ok(());
     }
     let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
         // No log yet (tenant not loaded — nothing durable to protect) or
-        // poisoned (the arm already refused the mutation up front).
-        return true;
+        // poisoned (the gate already refused the mutation up front).
+        return Ok(());
     };
     let start = telemetry::clock_start();
     let appended = tenant_wal.append(records);
@@ -898,126 +884,79 @@ fn wal_append(
             Ok(())
         }
     });
-    match synced {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("haste-router: wal append for tenant `{tenant_id}` failed ({e}); the tenant is now read-only");
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-            false
-        }
-    }
+    synced.map_err(|e| poison(core, tenant_id, "wal append", e))
 }
 
 /// Creates (or wholesale re-creates) a durable tenant's log and writes
 /// its first checkpoint — the `LOAD`/`RESTORE` invariant: a tenant with
 /// state always has a checkpoint, so its log tail only ever carries
 /// post-load operations and recovery always has a scenario to start
-/// from. A failure poisons the tenant (the state was already installed
-/// but cannot be made durable) and returns the fail-stop reply.
-fn wal_install(core: &mut RouterCore, shared: &RouterShared, tenant_id: &str) -> Result<(), Reply> {
+/// from. A composite failure (a down shard) propagates untouched; a file
+/// failure poisons the tenant (the state was already installed but
+/// cannot be made durable).
+fn wal_install(
+    core: &mut RouterCore,
+    shared: &RouterShared,
+    tenant_id: &str,
+) -> Result<(), Refusal> {
     let Some(runtime) = shared.wal.as_ref() else {
         return Ok(());
     };
     match TenantWal::create(&runtime.config.dir, tenant_id) {
-        Ok(tenant_wal) => {
-            core.wals
-                .insert(tenant_id.to_string(), WalHandle::Open(tenant_wal));
-            wal_checkpoint(core, shared, tenant_id)
-        }
-        Err(e) => {
-            eprintln!(
-                "haste-router: creating the wal for tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-            );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-            Err(wal_poisoned_reply(tenant_id))
-        }
-    }
+        Ok(tenant_wal) => core
+            .wals
+            .insert(tenant_id.to_string(), WalHandle::Open(tenant_wal)),
+        Err(e) => return Err(poison(core, tenant_id, "creating the wal", e)),
+    };
+    let text = composite_snapshot(known(core, tenant_id)?, tenant_id)?;
+    wal_checkpoint(core, shared, tenant_id, &text)
 }
 
-/// Checkpoints a durable tenant: the composite consistent-cut document —
+/// Installs `text` — the tenant's composite consistent-cut document,
 /// rendered by the exact code path the operator-facing `SNAPSHOT` verb
-/// uses — is installed atomically and the log truncates behind it. A
-/// composite failure (a down shard) propagates untouched; a file failure
-/// poisons the tenant.
+/// uses — as a durable tenant's checkpoint, atomically, and truncates the
+/// log behind it. A no-op without an open log; a file failure poisons
+/// the tenant. The one checkpoint writer: `LOAD`/`RESTORE`, `SNAPSHOT`
+/// and the automatic trigger all come through here.
 fn wal_checkpoint(
     core: &mut RouterCore,
     shared: &RouterShared,
     tenant_id: &str,
-) -> Result<(), Reply> {
-    if shared.wal.is_none() {
-        return Ok(());
-    }
-    let Some(tenant) = core.tenants.get(tenant_id) else {
-        return Ok(());
-    };
-    let text = composite_snapshot(tenant, tenant_id)?;
-    let quota = tenant.quota;
+    text: &str,
+) -> Result<(), Refusal> {
+    let quota = core.tenants.get(tenant_id).and_then(|tenant| tenant.quota);
     let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
         return Ok(());
     };
-    match tenant_wal.checkpoint(&text, quota) {
-        Ok(()) => {
-            WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id);
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!(
-                "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-            );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-            Err(wal_poisoned_reply(tenant_id))
-        }
-    }
+    tenant_wal
+        .checkpoint(text, quota)
+        .map_err(|e| poison(core, tenant_id, "checkpoint", e))?;
+    WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id);
+    Ok(())
 }
 
 /// The automatic checkpoint trigger, attempted at slot close: once a
 /// durable tenant's log accumulated [`WalConfig::checkpoint_every`]
 /// records, take a checkpoint. Best effort — a composite failure (e.g. a
 /// shard is down mid-restart) skips this attempt and the threshold
-/// re-arms at the next tick; only file failures poison (via
-/// [`wal_checkpoint`]).
+/// re-arms at the next tick; a file failure poisons the tenant (via
+/// [`wal_checkpoint`]) but leaves the already-durable tick acked.
 fn maybe_wal_checkpoint(core: &mut RouterCore, shared: &RouterShared, tenant_id: &str) {
     let Some(runtime) = shared.wal.as_ref() else {
         return;
     };
-    if runtime.config.checkpoint_every == 0 {
-        return;
-    }
-    let due = matches!(
-        core.wals.get(tenant_id),
-        Some(WalHandle::Open(tenant_wal))
-            if tenant_wal.ops_since_checkpoint >= runtime.config.checkpoint_every
-    );
-    if !due {
-        return;
-    }
-    let Some(tenant) = core.tenants.get(tenant_id) else {
-        return;
+    let every = runtime.config.checkpoint_every;
+    let due = every > 0
+        && matches!(
+            core.wals.get(tenant_id),
+            Some(WalHandle::Open(tenant_wal)) if tenant_wal.ops_since_checkpoint >= every
+        );
+    let text = match core.tenants.get(tenant_id) {
+        Some(tenant) if due => composite_snapshot(tenant, tenant_id),
+        _ => return,
     };
-    let Ok(text) = composite_snapshot(tenant, tenant_id) else {
-        return;
-    };
-    let quota = tenant.quota;
-    let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(tenant_id) else {
-        return;
-    };
-    match tenant_wal.checkpoint(&text, quota) {
-        Ok(()) => WalTelemetry::count_checkpoint(shared.telemetry.registry(), tenant_id),
-        Err(e) => {
-            eprintln!(
-                "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-            );
-            core.wals.insert(tenant_id.to_string(), WalHandle::Poisoned);
-        }
-    }
-}
-
-/// The stable text of a reply for recovery error reporting.
-fn reply_error_text(reply: &Reply) -> String {
-    match reply {
-        Reply::Err(code, message) => format!("{} {message}", code.as_str()),
-        Reply::Ok(line) => format!("unexpected ok: {line}"),
-        Reply::Data(_) => "unexpected data reply".to_string(),
+    if let Ok(text) = text {
+        let _ = wal_checkpoint(core, shared, tenant_id, &text);
     }
 }
 
@@ -1036,33 +975,33 @@ fn apply_wal_record(
     let Some(tenant) = core.tenants.get_mut(tenant_id) else {
         return Err("tenant vanished mid-recovery".to_string());
     };
-    match record {
-        WalRecord::Reject { .. } | WalRecord::Checkpoint { .. } => Ok(()),
+    let op = match record {
+        WalRecord::Reject { .. } | WalRecord::Checkpoint { .. } => return Ok(()),
         WalRecord::Quota(q) => {
             tenant.quota = Some(*q);
-            Ok(())
+            return Ok(());
         }
-        WalRecord::Submit(spec) => match submit_routed(tenant, tenant_id, *spec, shared) {
-            Ok(_) => Ok(()),
-            Err((code, message)) => Err(format!(
-                "logged-accepted submit re-rejected: {} {message}",
-                code.as_str()
-            )),
-        },
-        WalRecord::Tick => tick_lockstep(tenant, 1, &shared.telemetry)
-            .map(|_| ())
-            .map_err(|reply| reply_error_text(&reply)),
-        WalRecord::ReshardSplit(cell) => {
-            reshard(tenant, tenant_id, ReshardOp::Split(*cell), shared)
-                .map(|_| ())
-                .map_err(|reply| reply_error_text(&reply))
+        WalRecord::Submit(spec) => {
+            return submit_routed(tenant, tenant_id, *spec, shared)
+                .map(drop)
+                .map_err(|refusal| {
+                    format!(
+                        "logged-accepted submit re-rejected: {}",
+                        refusal_text(refusal)
+                    )
+                })
         }
-        WalRecord::ReshardMerge(a, b) => {
-            reshard(tenant, tenant_id, ReshardOp::Merge(*a, *b), shared)
-                .map(|_| ())
-                .map_err(|reply| reply_error_text(&reply))
+        WalRecord::Tick => {
+            return tick_lockstep(tenant, 1, &shared.telemetry)
+                .map(drop)
+                .map_err(refusal_text)
         }
-    }
+        WalRecord::ReshardSplit(cell) => ReshardOp::Split(*cell),
+        WalRecord::ReshardMerge(a, b) => ReshardOp::Merge(*a, *b),
+    };
+    reshard(tenant, tenant_id, op, shared)
+        .map(drop)
+        .map_err(refusal_text)
 }
 
 /// Durable startup: recovers every tenant found in the WAL directory —
@@ -1085,11 +1024,11 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
         // haste-lint: allow(L2) — startup-only recovery before the accept thread exists; per-cell work is deadline-bounded
         let restored = match restore_composite_state(&mut core, shared, &entry.checkpoint) {
             Ok(restored) => restored,
-            Err(reply) => {
+            Err(refusal) => {
                 eprintln!(
                     "haste-router: skipping recovery of tenant `{}`: bad checkpoint: {}",
                     entry.tenant,
-                    reply_error_text(&reply)
+                    refusal_text(refusal)
                 );
                 continue;
             }
@@ -1149,110 +1088,83 @@ fn recover_from_wal(shared: &Arc<RouterShared>) -> std::io::Result<()> {
     // on a fresh router. If its recovery was skipped above (and removed
     // the half-restored entry), put back an empty fleet so the startup
     // contract holds.
-    if !core.tenants.contains_key(DEFAULT_TENANT) {
-        // haste-lint: allow(L2) — startup-only rebuild before the accept thread exists; child spawns are deadline-bounded
-        if let Err(reply) = ensure_tenant(&mut core, shared, DEFAULT_TENANT, None) {
-            eprintln!(
-                "haste-router: rebuilding the default tenant after a failed recovery failed: {}",
-                reply_error_text(&reply)
-            );
-        }
+    // haste-lint: allow(L2) — startup-only rebuild before the accept thread exists; child spawns are deadline-bounded
+    if let Err(refusal) = ensure_tenant(&mut core, shared, DEFAULT_TENANT, None) {
+        eprintln!(
+            "haste-router: rebuilding the default tenant after a failed recovery failed: {}",
+            refusal_text(refusal)
+        );
     }
     Ok(())
 }
 
-/// Executes one parsed request; returns the reply and whether the
-/// connection should close.
-fn execute<R: BufRead>(
+/// Executes one parsed request for the connection's session tenant.
+/// Every refusal has one constructor and propagates with `?`; the gates
+/// check in a fixed order — read-only, then unknown tenant, then no
+/// scenario (DESIGN.md §9).
+fn execute(
     request: Request,
-    reader: &mut R,
+    payload: &str,
     shared: &RouterShared,
     session: &RefCell<Session>,
-) -> std::io::Result<(Reply, bool)> {
+) -> Result<Reply, Reply> {
     let config = &shared.config;
-    let reply = match request {
+    let tenant_id = session.borrow().tenant.clone();
+    Ok(match request {
         Request::Hello(version) => {
             let core = shared.core.lock();
             let shards = core
                 .tenants
-                .get(&session.borrow().tenant)
+                .get(&tenant_id)
                 .map(|tenant| tenant.shards.len())
                 .unwrap_or(config.cells.0 * config.cells.1);
             hello_reply(&version, shards, config.cells)
         }
         Request::Tenant { id, quota } => {
             let mut core = shared.core.lock();
-            if quota.is_some() && wal_poisoned(&core, &id) {
-                return Ok((wal_poisoned_reply(&id), false));
+            if quota.is_some() {
+                refuse_read_only(&core, &id)?;
             }
             let mut session = session.borrow_mut();
             session.tenant = id.clone();
-            match core.tenants.get_mut(&id) {
-                Some(tenant) => {
-                    // The tenant exists: a quota applies immediately, and
-                    // any quota parked from an earlier `TENANT` is moot.
-                    let logged = match quota {
-                        Some(q) => {
-                            tenant.quota = quota;
-                            wal_append(&mut core, shared, &id, &[WalRecord::Quota(q)])
-                        }
-                        None => true,
-                    };
-                    session.pending_quota = None;
-                    if !logged {
-                        return Ok((wal_poisoned_reply(&id), false));
-                    }
-                    match core.tenants[&id].quota {
-                        Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
-                        None => Reply::Ok(format!("tenant={id}")),
-                    }
-                }
+            let quota = match core.tenants.get_mut(&id) {
+                // Selecting never creates: the quota waits for the `LOAD`
+                // that will create this tenant.
                 None => {
-                    // Selecting never creates: the quota waits for the
-                    // `LOAD` that will create this tenant.
                     session.pending_quota = quota;
-                    match quota {
-                        Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
-                        None => Reply::Ok(format!("tenant={id}")),
-                    }
+                    quota
                 }
+                // The tenant exists: a quota applies (and is logged)
+                // immediately, and any quota parked from an earlier
+                // `TENANT` is moot.
+                Some(tenant) => {
+                    session.pending_quota = None;
+                    let current = quota.or(tenant.quota);
+                    if let Some(q) = quota {
+                        tenant.quota = quota;
+                        wal_append(&mut core, shared, &id, &[WalRecord::Quota(q)])?;
+                    }
+                    current
+                }
+            };
+            match quota {
+                Some(q) => Reply::Ok(format!("tenant={id} quota={q}")),
+                None => Reply::Ok(format!("tenant={id}")),
             }
         }
-        Request::Load(count) => {
-            let payload = match read_payload(reader, count, &shared.shutdown, "LOAD")? {
-                Ok(payload) => payload,
-                Err(refusal) => return Ok((refusal, true)),
-            };
-            let (tenant_id, pending_quota) = {
-                let mut session = session.borrow_mut();
-                (session.tenant.clone(), session.pending_quota.take())
-            };
+        Request::Load(_) => {
+            let pending_quota = session.borrow_mut().pending_quota.take();
             let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                return Ok((wal_poisoned_reply(&tenant_id), false));
-            }
+            refuse_read_only(&core, &tenant_id)?;
             // haste-lint: allow(L2) — spawning the tenant's fleet is deadline-bounded per child; `core` must be held so no request observes a half-created tenant
-            match ensure_tenant(&mut core, shared, &tenant_id, pending_quota) {
-                Err(reply) => reply,
-                Ok(()) => {
-                    let tenant = match tenant_mut(&mut core, &tenant_id) {
-                        Ok(tenant) => tenant,
-                        Err(reply) => return Ok((reply, false)),
-                    };
-                    // haste-lint: allow(L2) — per-cell LOADs are deadline-bounded; `core` must be held so no request observes a half-partitioned scenario
-                    let reply = load_scenario_text(tenant, &tenant_id, config, shared, &payload);
-                    if matches!(reply, Reply::Ok(_)) {
-                        // A freshly loaded tenant starts durable from a
-                        // checkpoint, so the log tail only ever carries
-                        // post-load operations.
-                        // haste-lint: allow(L2) — durability point: the checkpoint must land before LOAD is acked; `core` must be held so no request observes a non-durable loaded tenant
-                        if let Err(reply) = wal_install(&mut core, shared, &tenant_id) {
-                            return Ok((reply, false));
-                        }
-                    }
-                    reply
-                }
-            }
+            let tenant = ensure_tenant(&mut core, shared, &tenant_id, pending_quota)?;
+            // haste-lint: allow(L2) — per-cell LOADs are deadline-bounded; `core` must be held so no request observes a half-partitioned scenario
+            let reply = load_scenario_text(tenant, &tenant_id, shared, payload)?;
+            // A freshly loaded tenant starts durable from a checkpoint, so
+            // the log tail only ever carries post-load operations.
+            // haste-lint: allow(L2) — durability point: the checkpoint must land before LOAD is acked; `core` must be held so no request observes a non-durable loaded tenant
+            wal_install(&mut core, shared, &tenant_id)?;
+            reply
         }
         Request::Submit {
             x,
@@ -1262,183 +1174,75 @@ fn execute<R: BufRead>(
             energy,
             weight,
         } => {
-            if !(x.is_finite() && y.is_finite() && facing.is_finite()) {
-                Reply::Err(ErrCode::BadTask, "non-finite position/facing".to_string())
-            } else {
-                let tenant_id = session.borrow().tenant.clone();
-                let mut core = shared.core.lock();
-                if wal_poisoned(&core, &tenant_id) {
-                    wal_poisoned_reply(&tenant_id)
-                } else {
-                    match tenant_mut(&mut core, &tenant_id) {
-                        Err(reply) => reply,
-                        Ok(tenant) => {
-                            let spec = TaskSpec {
-                                device_pos: Vec2::new(x, y),
-                                device_facing: Angle::from_radians(facing),
-                                end_slot,
-                                required_energy: energy,
-                                weight,
-                            };
-                            // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
-                            let routed = submit_routed(tenant, &tenant_id, spec, shared);
-                            let (reply, record) = match routed {
-                                Ok((global, release, shard)) => (
-                                    Reply::Ok(format!(
-                                        "task={global} release={release} shard={shard}"
-                                    )),
-                                    WalRecord::Submit(spec),
-                                ),
-                                Err((code, message)) => {
-                                    let record = WalRecord::Reject {
-                                        code: code.as_str().to_string(),
-                                        spec,
-                                    };
-                                    (Reply::Err(code, message), record)
-                                }
-                            };
-                            if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                reply
-                            } else {
-                                wal_poisoned_reply(&tenant_id)
-                            }
-                        }
-                    }
-                }
-            }
+            let spec = text_submission(x, y, facing, end_slot, energy, weight)?;
+            let mut core = shared.core.lock();
+            let tenant = writable(&mut core, &tenant_id)?;
+            // haste-lint: allow(L2) — lockstep contract: `core` serializes shard traffic so global arrival order stays bit-identical; the child request is deadline-bounded
+            let routed = submit_routed(tenant, &tenant_id, spec, shared);
+            wal_append(
+                &mut core,
+                shared,
+                &tenant_id,
+                &[admission_record(&routed, spec)],
+            )?;
+            let (global, release, shard) = routed?;
+            Reply::Ok(format!("task={global} release={release} shard={shard}"))
         }
         Request::Tick(n) => {
-            let tenant_id = session.borrow().tenant.clone();
             let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        if tenant.partition.is_none() {
-                            shard_err(crate::shard::ShardError::NoScenario)
-                        } else {
-                            // The load trigger fires between slots: a cell
-                            // whose closing slot ran hot is split before the
-                            // clock moves (best effort).
-                            // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
-                            let split = maybe_auto_split(tenant, &tenant_id, shared);
-                            let before = tenant.clock;
-                            // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
-                            let outcome = tick_lockstep(tenant, n, &shared.telemetry);
-                            // Log what actually happened — an auto-split
-                            // and every slot that closed — even when a
-                            // later step of a multi-slot TICK failed:
-                            // the clock moved for the completed steps.
-                            let closed = tenant.clock - before;
-                            let mut records = Vec::with_capacity(closed + 1);
-                            if let Some(cell) = split {
-                                records.push(WalRecord::ReshardSplit(cell));
-                            }
-                            records.extend(std::iter::repeat_n(WalRecord::Tick, closed));
-                            if !wal_append(&mut core, shared, &tenant_id, &records) {
-                                wal_poisoned_reply(&tenant_id)
-                            } else {
-                                match outcome {
-                                    Ok((slot, open)) => {
-                                        // The slot closed cleanly — the
-                                        // moment the automatic checkpoint
-                                        // threshold is checked.
-                                        // haste-lint: allow(L2) — durability point: the automatic checkpoint must land before the TICK ack; per-cell snapshots are deadline-bounded
-                                        maybe_wal_checkpoint(&mut core, shared, &tenant_id);
-                                        Reply::Ok(format!("slot={slot} open={}", u8::from(open)))
-                                    }
-                                    Err(reply) => reply,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let tenant = writable(&mut core, &tenant_id).and_then(loaded)?;
+            // The load trigger fires between slots: a cell whose closing
+            // slot ran hot is split before the clock moves (best effort).
+            // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut under `core`; each child call is deadline-bounded
+            let split = maybe_auto_split(tenant, &tenant_id, shared);
+            let before = tenant.clock;
+            // haste-lint: allow(L2) — the lockstep pipelines deadline-bounded TICKs across cells under `core`; interleaving another request mid-round would fork the clock
+            let outcome = tick_lockstep(tenant, n, &shared.telemetry);
+            // Log what actually happened — an auto-split and every slot
+            // that closed — even when a later step of a multi-slot TICK
+            // failed: the clock moved for the completed steps.
+            let closed = tenant.clock - before;
+            let mut records = Vec::with_capacity(closed + 1);
+            records.extend(split.map(WalRecord::ReshardSplit));
+            records.extend(std::iter::repeat_n(WalRecord::Tick, closed));
+            wal_append(&mut core, shared, &tenant_id, &records)?;
+            let (slot, open) = outcome?;
+            // The slot closed cleanly — the moment the automatic
+            // checkpoint threshold is checked.
+            // haste-lint: allow(L2) — durability point: the automatic checkpoint must land before the TICK ack; per-cell snapshots are deadline-bounded
+            maybe_wal_checkpoint(&mut core, shared, &tenant_id);
+            slot_reply(slot, open)
         }
         Request::Clock => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // The tenant clock is authoritative (healthy
-                        // shards track it in lockstep; down shards rejoin
-                        // to it), so CLOCK? answers even while children
-                        // are restarting.
-                        Reply::Ok(format!(
-                            "slot={} open={}",
-                            tenant.clock,
-                            u8::from(tenant.open())
-                        ))
-                    }
-                }
-            }
+            let mut core = shared.core.lock();
+            let tenant = known(&mut core, &tenant_id).and_then(loaded)?;
+            // The tenant clock is authoritative (healthy shards track it
+            // in lockstep; down shards rejoin to it), so CLOCK? answers
+            // even while children are restarting.
+            slot_reply(tenant.clock, tenant.open())
         }
         Request::Schedule => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child SCHEDULE? is deadline-bounded
-                        match merged_schedule(tenant) {
-                            Ok(schedule) => Reply::Data(model_io::write_schedule(&schedule)),
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
+            let mut core = shared.core.lock();
+            let tenant = known(&mut core, &tenant_id)?;
+            // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child SCHEDULE? is deadline-bounded
+            Reply::Data(model_io::write_schedule(&merged_schedule(tenant)?))
         }
         Request::Utility => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
-                        match merged_parts(tenant) {
-                            Ok(parts) => {
-                                // Sequential left-to-right sums over the
-                                // arrival order: the single engine's exact
-                                // addend sequence.
-                                let utility: f64 = parts.full.iter().sum();
-                                let relaxed: f64 = parts.relaxed.iter().sum();
-                                Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
-                            }
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
+            let mut core = shared.core.lock();
+            let tenant = known(&mut core, &tenant_id)?;
+            // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
+            let parts = merged_parts(tenant)?;
+            // Sequential left-to-right sums over the arrival order: the
+            // single engine's exact addend sequence.
+            let utility: f64 = parts.full.iter().sum();
+            let relaxed: f64 = parts.relaxed.iter().sum();
+            Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
         }
         Request::Parts => {
-            let tenant_id = session.borrow().tenant.clone();
-            let core = shared.core.lock();
-            match tenant_ref(&core, &tenant_id) {
-                Err(reply) => reply,
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        shard_err(crate::shard::ShardError::NoScenario)
-                    } else {
-                        // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
-                        match merged_parts(tenant) {
-                            Ok(parts) => Reply::Data(parts_payload(&parts)),
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
+            let mut core = shared.core.lock();
+            let tenant = known(&mut core, &tenant_id)?;
+            // haste-lint: allow(L2) — merge must read every cell at one consistent clock; each child PARTS? is deadline-bounded
+            Reply::Data(parts_payload(&merged_parts(tenant)?))
         }
         Request::Export => {
             let core = shared.core.lock();
@@ -1488,110 +1292,43 @@ fn execute<R: BufRead>(
         Request::Shards => {
             let core = shared.core.lock();
             // haste-lint: allow(L2) — deadline-bounded STATUS? per cell under one `core` hold so SHARDS? reports a consistent cut
-            shards_payload(&core)
+            Reply::Data(shards_payload(&core)?)
         }
         Request::Snapshot => {
-            let tenant_id = session.borrow().tenant.clone();
             let mut core = shared.core.lock();
-            let rendered = match tenant_ref(&core, &tenant_id) {
-                Err(reply) => Err(reply),
-                Ok(tenant) => {
-                    if tenant.partition.is_none() {
-                        Err(shard_err(crate::shard::ShardError::NoScenario))
-                    } else {
-                        // haste-lint: allow(L2) — per-cell SNAP?s are deadline-bounded; `core` held so the composite is one consistent clock cut
-                        composite_snapshot(tenant, &tenant_id).map(|text| (text, tenant.quota))
-                    }
-                }
-            };
-            match rendered {
-                Err(reply) => reply,
-                Ok((text, quota)) => {
-                    // An operator SNAPSHOT doubles as a durability
-                    // checkpoint, written from the very bytes of this
-                    // reply — the `.ckpt` file and the operator's copy
-                    // can never drift.
-                    if let Some(WalHandle::Open(tenant_wal)) = core.wals.get_mut(&tenant_id) {
-                        match tenant_wal.checkpoint(&text, quota) {
-                            Ok(()) => WalTelemetry::count_checkpoint(
-                                shared.telemetry.registry(),
-                                &tenant_id,
-                            ),
-                            Err(e) => {
-                                eprintln!(
-                                    "haste-router: checkpointing tenant `{tenant_id}` failed ({e}); the tenant is now read-only"
-                                );
-                                core.wals.insert(tenant_id.clone(), WalHandle::Poisoned);
-                                return Ok((wal_poisoned_reply(&tenant_id), false));
-                            }
-                        }
-                    }
-                    Reply::Data(text)
-                }
-            }
+            let tenant = known(&mut core, &tenant_id)?;
+            // haste-lint: allow(L2) — per-cell SNAP?s are deadline-bounded; `core` held so the composite is one consistent clock cut
+            let text = composite_snapshot(tenant, &tenant_id)?;
+            // An operator SNAPSHOT doubles as a durability checkpoint,
+            // written from the very bytes of this reply — the `.ckpt`
+            // file and the operator's copy can never drift.
+            wal_checkpoint(&mut core, shared, &tenant_id, &text)?;
+            Reply::Data(text)
         }
-        Request::Restore(count) => {
-            let payload = match read_payload(reader, count, &shared.shutdown, "RESTORE")? {
-                Ok(payload) => payload,
-                Err(refusal) => return Ok((refusal, true)),
-            };
+        Request::Restore(_) => {
             let mut core = shared.core.lock();
             // haste-lint: allow(L2) — per-cell RESTOREs are deadline-bounded; `core` held so no request observes a half-restored composite
-            restore_composite(&mut core, shared, &payload)
+            restore_composite(&mut core, shared, payload)?
         }
-        Request::ReshardSplit(cell) => {
-            let tenant_id = session.borrow().tenant.clone();
-            let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
-                        match reshard(tenant, &tenant_id, ReshardOp::Split(cell), shared) {
-                            Ok((cells, version)) => {
-                                let record = WalRecord::ReshardSplit(cell);
-                                if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                    Reply::Ok(format!("cells={cells} map={version}"))
-                                } else {
-                                    wal_poisoned_reply(&tenant_id)
-                                }
-                            }
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
-        }
-        Request::ReshardMerge(a, b) => {
-            let tenant_id = session.borrow().tenant.clone();
-            let mut core = shared.core.lock();
-            if wal_poisoned(&core, &tenant_id) {
-                wal_poisoned_reply(&tenant_id)
-            } else {
-                match tenant_mut(&mut core, &tenant_id) {
-                    Err(reply) => reply,
-                    Ok(tenant) => {
-                        // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
-                        match reshard(tenant, &tenant_id, ReshardOp::Merge(a, b), shared) {
-                            Ok((cells, version)) => {
-                                let record = WalRecord::ReshardMerge(a, b);
-                                if wal_append(&mut core, shared, &tenant_id, &[record]) {
-                                    Reply::Ok(format!("cells={cells} map={version}"))
-                                } else {
-                                    wal_poisoned_reply(&tenant_id)
-                                }
-                            }
-                            Err(reply) => reply,
-                        }
-                    }
-                }
-            }
-        }
-        Request::Bye => return Ok((Reply::Ok("bye".to_string()), true)),
+        Request::ReshardSplit(cell) => reshard_live(shared, &tenant_id, ReshardOp::Split(cell))?,
+        Request::ReshardMerge(a, b) => reshard_live(shared, &tenant_id, ReshardOp::Merge(a, b))?,
+        Request::Bye => Reply::Ok("bye".to_string()),
+    })
+}
+
+/// `RESHARD SPLIT`/`RESHARD MERGE` on the session tenant: the live
+/// migration, then its log record.
+fn reshard_live(shared: &RouterShared, tenant_id: &str, op: ReshardOp) -> Result<Reply, Refusal> {
+    let mut core = shared.core.lock();
+    let tenant = writable(&mut core, tenant_id)?;
+    // haste-lint: allow(L2) — the migration must be one consistent between-ticks cut: children are rebuilt and swapped in under `core`, each child call deadline-bounded
+    let (cells, version) = reshard(tenant, tenant_id, op, shared)?;
+    let record = match op {
+        ReshardOp::Split(cell) => WalRecord::ReshardSplit(cell),
+        ReshardOp::Merge(a, b) => WalRecord::ReshardMerge(a, b),
     };
-    Ok((reply, false))
+    wal_append(&mut core, shared, tenant_id, &[record])?;
+    Ok(Reply::Ok(format!("cells={cells} map={version}")))
 }
 
 /// The `SHARDS?` payload: one line per shard of every loaded tenant, in
@@ -1599,7 +1336,7 @@ fn execute<R: BufRead>(
 /// that currently serves it. Cell coordinates come from the base grid
 /// while the tenant still sits on one; after a split the tiling is no
 /// longer a uniform grid and cells are numbered linearly as `(i, 0)`.
-fn shards_payload(core: &RouterCore) -> Reply {
+fn shards_payload(core: &RouterCore) -> Result<String, Refusal> {
     let mut payload = String::new();
     let mut any = false;
     for (tenant_id, tenant) in &core.tenants {
@@ -1626,14 +1363,14 @@ fn shards_payload(core: &RouterCore) -> Reply {
                         tenant.map.version(),
                     ));
                 }
-                Err(e) => return slot_err(e),
+                Err(e) => return Err(slot_err(e)),
             }
         }
     }
     if !any {
-        return shard_err(crate::shard::ShardError::NoScenario);
+        return Err(shard_err(ShardError::NoScenario));
     }
-    Reply::Data(payload)
+    Ok(payload)
 }
 
 /// `LOAD` on a tenant: parse, partition, split, install per-cell
@@ -1646,35 +1383,28 @@ fn shards_payload(core: &RouterCore) -> Reply {
 fn load_scenario_text(
     tenant: &mut TenantCore,
     tenant_id: &str,
-    config: &RouterConfig,
     shared: &RouterShared,
     payload: &str,
-) -> Reply {
+) -> Result<Reply, Refusal> {
     if tenant.partition.is_some() {
-        return shard_err(crate::shard::ShardError::AlreadyLoaded);
+        return Err(shard_err(ShardError::AlreadyLoaded));
     }
-    let scenario = match model_io::read_scenario(payload) {
-        Ok(scenario) => scenario,
-        Err(e) => return Reply::Err(ErrCode::BadRequest, format!("bad scenario: {e}")),
-    };
-    let partition = match Partition::grid(
+    let scenario = model_io::read_scenario(payload)
+        .map_err(|e| (ErrCode::BadRequest, format!("bad scenario: {e}")))?;
+    let config = &shared.config;
+    let partition = Partition::grid(
         Vec2::new(config.origin.0, config.origin.1),
         config.field.0,
         config.field.1,
         config.cells.0,
         config.cells.1,
         scenario.params.radius,
-    ) {
-        Ok(partition) => partition,
-        Err(e) => return partition_err(e),
-    };
-    if let Err(e) = partition.validate_chargers(&scenario) {
-        return partition_err(e);
-    }
-    let cells = match partition.split(&scenario) {
-        Ok(cells) => cells,
-        Err(e) => return partition_err(e),
-    };
+    )
+    .map_err(partition_err)?;
+    partition
+        .validate_chargers(&scenario)
+        .map_err(partition_err)?;
+    let cells = partition.split(&scenario).map_err(partition_err)?;
     let mut total_chargers = 0;
     let mut total_staged = 0;
     for (shard, cell) in tenant.shards.iter().zip(cells) {
@@ -1688,7 +1418,7 @@ fn load_scenario_text(
             // `split` validated every sub-scenario, so a structured
             // failure here is a router bug; surface it without
             // half-initialized routing state (RESTORE recovers).
-            Err(e) => return slot_err(e),
+            Err(e) => return Err(slot_err(e)),
         }
     }
     let (order, plan, _clock) = rebuild_bookkeeping(&scenario, &[]);
@@ -1707,11 +1437,11 @@ fn load_scenario_text(
     for shard in &tenant.shards {
         shard.apply_slot_faults(0);
     }
-    Reply::Ok(format!(
+    Ok(Reply::Ok(format!(
         "chargers={total_chargers} staged={total_staged} slots={} shards={}",
         tenant.slots,
         tenant.shards.len()
-    ))
+    )))
 }
 
 /// Advances one tenant's lockstep one slot at a time, releasing staged
@@ -1740,9 +1470,9 @@ fn tick_lockstep(
     tenant: &mut TenantCore,
     n: usize,
     router_telemetry: &Telemetry,
-) -> Result<(usize, bool), Reply> {
+) -> Result<(usize, bool), Refusal> {
     if !tenant.open() {
-        return Err(shard_err(crate::shard::ShardError::AtHorizon));
+        return Err(shard_err(ShardError::AtHorizon));
     }
     for _ in 0..n {
         if !tenant.open() {
@@ -1847,12 +1577,10 @@ fn reshard(
     tenant_id: &str,
     op: ReshardOp,
     shared: &RouterShared,
-) -> Result<(usize, u64), Reply> {
-    let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
-    };
-    let Some(scenario) = tenant.scenario.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
+) -> Result<(usize, u64), Refusal> {
+    let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
+    else {
+        return Err(shard_err(ShardError::NoScenario));
     };
     let new_partition = match op {
         ReshardOp::Split(cell) => partition.split_cell(cell),
@@ -1986,10 +1714,10 @@ fn reshard(
 /// faithful: orientations are copied, never recomputed. Charger owners
 /// are derived from positions against the *current* partition, so the
 /// merge is correct across any number of reshards.
-fn merged_schedule(tenant: &TenantCore) -> Result<Schedule, Reply> {
+fn merged_schedule(tenant: &TenantCore) -> Result<Schedule, Refusal> {
     let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
     else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
+        return Err(shard_err(ShardError::NoScenario));
     };
     let mut shard_schedules = Vec::with_capacity(tenant.shards.len());
     for shard in &tenant.shards {
@@ -2028,9 +1756,9 @@ fn merged_schedule(tenant: &TenantCore) -> Result<Schedule, Reply> {
 /// partition, so the walk is correct across any number of reshards. The
 /// shards are read concurrently, one worker each, like `tick_lockstep`;
 /// the merge itself runs in shard order afterwards.
-fn merged_parts(tenant: &TenantCore) -> Result<UtilityParts, Reply> {
+fn merged_parts(tenant: &TenantCore) -> Result<UtilityParts, Refusal> {
     let Some(partition) = tenant.partition.as_ref() else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
+        return Err(shard_err(ShardError::NoScenario));
     };
     let parts = haste_parallel::par_map(&tenant.shards, tenant.shards.len(), |_, shard| {
         shard.utility_parts()
@@ -2058,10 +1786,6 @@ fn merged_parts(tenant: &TenantCore) -> Result<UtilityParts, Reply> {
     Ok(UtilityParts { full, relaxed })
 }
 
-fn internal(reason: &str) -> Reply {
-    Reply::Err(ErrCode::Internal, reason.to_string())
-}
-
 /// Serializes one tenant's consistent cut: tenancy, routing-map version,
 /// partition geometry (base grid + explicit cell rects, so post-reshard
 /// tilings round-trip), the loaded scenario, the accepted-operation
@@ -2071,10 +1795,10 @@ fn internal(reason: &str) -> Reply {
 /// `ERR unavailable`). Once the document is assembled, each section is
 /// committed as its shard's new replay baseline — never before, so a
 /// failed snapshot moves no baseline.
-fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Reply> {
+fn composite_snapshot(tenant: &TenantCore, tenant_id: &str) -> Result<String, Refusal> {
     let (Some(partition), Some(scenario)) = (tenant.partition.as_ref(), tenant.scenario.as_ref())
     else {
-        return Err(shard_err(crate::shard::ShardError::NoScenario));
+        return Err(shard_err(ShardError::NoScenario));
     };
     let mut sections = Vec::with_capacity(tenant.shards.len());
     for shard in &tenant.shards {
@@ -2471,23 +2195,18 @@ pub fn parse_composite(text: &str) -> Result<CompositeSnapshot, String> {
 /// (in-process) or receives the snapshot text as its new baseline (child
 /// process — a push failure there just marks the child down, and the
 /// rejoin replay rebuilds it from that same committed baseline).
-fn restore_composite(core: &mut RouterCore, shared: &RouterShared, payload: &str) -> Reply {
-    let restored = match restore_composite_state(core, shared, payload) {
-        Ok(restored) => restored,
-        Err(reply) => return reply,
-    };
+fn restore_composite(
+    core: &mut RouterCore,
+    shared: &RouterShared,
+    payload: &str,
+) -> Result<Reply, Refusal> {
+    let restored = restore_composite_state(core, shared, payload)?;
     // Durable router: a restore wholesale replaces the tenant, so its log
     // starts over from a checkpoint of the restored state (this also
     // clears a poisoned log — the operator just handed us a full
     // replacement for whatever the failed log could not persist).
-    if let Err(reply) = wal_install(core, shared, &restored.tenant) {
-        return reply;
-    }
-    Reply::Ok(format!(
-        "slot={} open={}",
-        restored.slot,
-        u8::from(restored.open)
-    ))
+    wal_install(core, shared, &restored.tenant)?;
+    Ok(slot_reply(restored.slot, restored.open))
 }
 
 /// What [`restore_composite_state`] installed: which tenant, at which
@@ -2505,82 +2224,52 @@ fn restore_composite_state(
     core: &mut RouterCore,
     shared: &RouterShared,
     payload: &str,
-) -> Result<RestoredTenant, Reply> {
-    let composite = match parse_composite(payload) {
-        Ok(composite) => composite,
-        Err(reason) => return Err(Reply::Err(ErrCode::BadSnapshot, reason)),
-    };
-    let partition = match Partition::from_rects(
+) -> Result<RestoredTenant, Refusal> {
+    let bad = |reason: String| (ErrCode::BadSnapshot, reason);
+    let composite = parse_composite(payload).map_err(bad)?;
+    let partition = Partition::from_rects(
         Vec2::new(composite.origin.0, composite.origin.1),
         composite.field.0,
         composite.field.1,
         composite.halo,
         composite.grid,
         composite.cells.clone(),
-    ) {
-        Ok(partition) => partition,
-        Err(e) => return Err(Reply::Err(ErrCode::BadSnapshot, e.to_string())),
-    };
-    let scenario = match model_io::read_scenario(&composite.scenario) {
-        Ok(scenario) => scenario,
-        Err(e) => {
-            return Err(Reply::Err(
-                ErrCode::BadSnapshot,
-                format!("bad embedded scenario: {e}"),
-            ))
-        }
-    };
+    )
+    .map_err(|e| bad(e.to_string()))?;
+    let scenario = model_io::read_scenario(&composite.scenario)
+        .map_err(|e| bad(format!("bad embedded scenario: {e}")))?;
     let (order, plan, ops_clock) = rebuild_bookkeeping(&scenario, &composite.ops);
     if composite.shards.len() != composite.cells.len() {
-        return Err(Reply::Err(
-            ErrCode::BadSnapshot,
-            "shard count does not match cell count".to_string(),
-        ));
+        return Err(bad("shard count does not match cell count".to_string()));
     }
     // Phase 1: restore and validate every section without installing.
     let mut engines = Vec::with_capacity(composite.shards.len());
     let mut clock: Option<(usize, bool)> = None;
     let mut slots = 0;
     for (index, snapshot) in composite.shards.iter().enumerate() {
-        let engine = match OnlineEngine::restore(snapshot) {
-            Ok(engine) => engine,
-            Err(e) => {
-                return Err(Reply::Err(
-                    ErrCode::BadSnapshot,
-                    format!("shard {index}: {e}"),
-                ))
-            }
-        };
+        let engine =
+            OnlineEngine::restore(snapshot).map_err(|e| bad(format!("shard {index}: {e}")))?;
         let seen = (engine.clock(), !engine.is_closed());
         slots = slots.max(engine.scenario().grid.num_slots);
         match clock {
             None => clock = Some(seen),
             Some(common) if common == seen => {}
             Some(common) => {
-                return Err(Reply::Err(
-                    ErrCode::BadSnapshot,
-                    format!(
-                        "inconsistent cut: shard clocks differ ({} vs {})",
-                        common.0, seen.0
-                    ),
-                ));
+                return Err(bad(format!(
+                    "inconsistent cut: shard clocks differ ({} vs {})",
+                    common.0, seen.0
+                )));
             }
         }
         engines.push(engine);
     }
     let Some((slot, open)) = clock else {
-        return Err(Reply::Err(
-            ErrCode::BadSnapshot,
-            "snapshot has no shards".to_string(),
-        ));
+        return Err(bad("snapshot has no shards".to_string()));
     };
     if slot != ops_clock {
-        return Err(Reply::Err(
-            ErrCode::BadSnapshot,
-            format!(
-                "inconsistent cut: operation history reaches clock {ops_clock}, shards sit at {slot}"
-            ),
-        ));
+        return Err(bad(format!(
+            "inconsistent cut: operation history reaches clock {ops_clock}, shards sit at {slot}"
+        )));
     }
     // The document's tenant: create it (or rebuild its fleet) to the
     // document's cell count. Fresh slots are built before any live state
@@ -2592,13 +2281,9 @@ fn restore_composite_state(
         .map(|tenant| tenant.shards.len() == count)
         .unwrap_or(false);
     if !matches_fleet {
-        let mut fresh = Vec::with_capacity(count);
-        for cell in 0..count {
-            match fresh_slot(shared, cell) {
-                Ok(slot) => fresh.push(slot),
-                Err(reply) => return Err(reply),
-            }
-        }
+        let fresh = (0..count)
+            .map(|cell| fresh_slot(shared, cell))
+            .collect::<Result<Vec<_>, _>>()?;
         match core.tenants.get_mut(&composite.tenant) {
             Some(tenant) => tenant.shards = fresh,
             None => {

@@ -8,17 +8,15 @@
 //! engine state itself lives in [`crate::shard`], shared with the
 //! multi-shard router in [`crate::router`].
 
-use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use haste_distributed::{AdmitError, OnlineConfig, TaskSpec};
-use haste_geometry::{Angle, Vec2};
 
 use crate::framing::BatchAck;
-use crate::front::{read_payload, Endpoint, Running};
-use crate::proto::{ErrCode, Reply, Request, VERSION, VERSION_V2, VERSION_V3};
+use crate::front::{finite, text_submission, Endpoint, Running};
+use crate::proto::{ErrCode, Refusal, Reply, Request, VERSION, VERSION_V2, VERSION_V3};
 use crate::shard::{Shard, ShardError, ShardHealth};
 use crate::telemetry::Telemetry;
 
@@ -60,13 +58,8 @@ struct Shared {
 impl Endpoint for Shared {
     type Session = ();
 
-    fn execute<R: BufRead>(
-        &self,
-        request: Request,
-        reader: &mut R,
-        _session: &(),
-    ) -> std::io::Result<(Reply, bool)> {
-        execute(request, reader, self)
+    fn execute(&self, request: Request, payload: &str, _session: &()) -> Result<Reply, Reply> {
+        execute(request, payload, self)
     }
 
     /// Per-record admission in frame order under the shard's own
@@ -76,22 +69,14 @@ impl Endpoint for Shared {
         specs
             .iter()
             .map(|spec| {
-                if !(spec.device_pos.x.is_finite()
-                    && spec.device_pos.y.is_finite()
-                    && spec.device_facing.radians().is_finite())
-                {
-                    BatchAck::rejected(ErrCode::BadTask, "non-finite position/facing")
-                } else {
-                    match self.shard.submit(*spec) {
-                        Ok((id, release)) => BatchAck::Ok {
-                            task: u64::from(id.0),
-                            release: release as u64,
-                        },
-                        Err(e) => {
-                            let (code, message) = shard_err_parts(e);
-                            BatchAck::rejected(code, message)
-                        }
-                    }
+                let admitted =
+                    finite(*spec).and_then(|spec| self.shard.submit(spec).map_err(shard_err));
+                match admitted {
+                    Ok((id, release)) => BatchAck::Ok {
+                        task: u64::from(id.0),
+                        release: release as u64,
+                    },
+                    Err(refusal) => refusal.into(),
                 }
             })
             .collect()
@@ -142,14 +127,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// Maps a structured shard failure onto the wire error space.
-pub(crate) fn shard_err(e: ShardError) -> Reply {
-    let (code, message) = shard_err_parts(e);
-    Reply::Err(code, message)
-}
-
-/// The code/message pair of [`shard_err`], for emitters that frame the
-/// error themselves (the batch-submit ack path).
-pub(crate) fn shard_err_parts(e: ShardError) -> (ErrCode, String) {
+pub(crate) fn shard_err(e: ShardError) -> Refusal {
     let code = match &e {
         ShardError::NoScenario => ErrCode::NoScenario,
         ShardError::AlreadyLoaded => ErrCode::AlreadyLoaded,
@@ -161,6 +139,17 @@ pub(crate) fn shard_err_parts(e: ShardError) -> (ErrCode, String) {
         ShardError::Admit(AdmitError::BadTask(_)) => ErrCode::BadTask,
     };
     (code, e.to_string())
+}
+
+impl From<ShardError> for Reply {
+    fn from(e: ShardError) -> Reply {
+        shard_err(e).into()
+    }
+}
+
+/// The `slot=<n> open=<0|1>` reply of `TICK`, `CLOCK?` and `RESTORE`.
+pub(crate) fn slot_reply(slot: usize, open: bool) -> Reply {
+    Reply::Ok(format!("slot={slot} open={}", u8::from(open)))
 }
 
 /// Formats the HELLO reply shared by the daemon and the router: version
@@ -225,27 +214,17 @@ pub(crate) fn parts_payload(parts: &crate::shard::UtilityParts) -> String {
     payload
 }
 
-/// Executes one parsed request; returns the reply and whether the
-/// connection should close.
-fn execute<R: BufRead>(
-    request: Request,
-    reader: &mut R,
-    shared: &Shared,
-) -> std::io::Result<(Reply, bool)> {
-    let reply = match request {
+/// Executes one parsed request against the daemon's shard.
+fn execute(request: Request, payload: &str, shared: &Shared) -> Result<Reply, Reply> {
+    let shard = &shared.shard;
+    Ok(match request {
         Request::Hello(version) => hello_reply(&version, 1, (1, 1)),
-        Request::Load(count) => {
-            let payload = match read_payload(reader, count, &shared.shutdown, "LOAD")? {
-                Ok(payload) => payload,
-                Err(refusal) => return Ok((refusal, true)),
-            };
-            match shared.shard.load_text(&payload) {
-                Ok(info) => Reply::Ok(format!(
-                    "chargers={} staged={} slots={}",
-                    info.chargers, info.staged, info.slots
-                )),
-                Err(e) => shard_err(e),
-            }
+        Request::Load(_) => {
+            let info = shard.load_text(payload)?;
+            Reply::Ok(format!(
+                "chargers={} staged={} slots={}",
+                info.chargers, info.staged, info.slots
+            ))
         }
         Request::Submit {
             x,
@@ -255,98 +234,66 @@ fn execute<R: BufRead>(
             energy,
             weight,
         } => {
-            if !(x.is_finite() && y.is_finite() && facing.is_finite()) {
-                Reply::Err(ErrCode::BadTask, "non-finite position/facing".to_string())
-            } else {
-                let spec = TaskSpec {
-                    device_pos: Vec2::new(x, y),
-                    device_facing: Angle::from_radians(facing),
-                    end_slot,
-                    required_energy: energy,
-                    weight,
-                };
-                match shared.shard.submit(spec) {
-                    Ok((id, release)) => Reply::Ok(format!("task={} release={release}", id.0)),
-                    Err(e) => shard_err(e),
-                }
-            }
+            let spec = text_submission(x, y, facing, end_slot, energy, weight)?;
+            let (id, release) = shard.submit(spec)?;
+            Reply::Ok(format!("task={} release={release}", id.0))
         }
-        Request::Tick(n) => match shared.shard.tick(n) {
-            Ok((slot, open)) => Reply::Ok(format!("slot={slot} open={}", u8::from(open))),
-            Err(e) => shard_err(e),
-        },
-        Request::Clock => match shared.shard.clock() {
-            Ok((slot, open)) => Reply::Ok(format!("slot={slot} open={}", u8::from(open))),
-            Err(e) => shard_err(e),
-        },
-        Request::Schedule => match shared.shard.schedule_text() {
-            Ok(text) => Reply::Data(text),
-            Err(e) => shard_err(e),
-        },
-        Request::Utility => match shared.shard.utility() {
-            Ok((utility, relaxed)) => Reply::Ok(format!("utility={utility} relaxed={relaxed}")),
-            Err(e) => shard_err(e),
-        },
-        Request::Parts => match shared.shard.utility_parts() {
-            Ok(parts) => Reply::Data(parts_payload(&parts)),
-            Err(e) => shard_err(e),
-        },
+        Request::Tick(n) => {
+            let (slot, open) = shard.tick(n)?;
+            slot_reply(slot, open)
+        }
+        Request::Clock => {
+            let (slot, open) = shard.clock()?;
+            slot_reply(slot, open)
+        }
+        Request::Schedule => Reply::Data(shard.schedule_text()?),
+        Request::Utility => {
+            let (utility, relaxed) = shard.utility()?;
+            Reply::Ok(format!("utility={utility} relaxed={relaxed}"))
+        }
+        Request::Parts => Reply::Data(parts_payload(&shard.utility_parts()?)),
         Request::Export => {
             // The typed registry plus the engine families of the current
             // status (absent before `LOAD` — a fresh daemon still
             // exposes its request metrics).
-            let snap = shared.telemetry.export(shared.shard.status().ok().as_ref());
+            let snap = shared.telemetry.export(shard.status().ok().as_ref());
             Reply::Data(snap.render())
         }
-        Request::Shards => match shared.shard.status() {
-            Err(e) => shard_err(e),
-            // The single-engine daemon is its own one-shard topology:
-            // fixed default tenant, routing map version 0 (never swapped).
-            Ok(status) => Reply::Data(shard_line(
-                0,
-                (0, 0),
-                &status,
-                ShardHealth::Up,
-                0,
-                0,
-                "default",
-                0,
-            )),
-        },
-        Request::Snapshot => match shared.shard.snapshot() {
-            Ok(text) => Reply::Data(text),
-            Err(e) => shard_err(e),
-        },
-        Request::Restore(count) => {
-            let payload = match read_payload(reader, count, &shared.shutdown, "RESTORE")? {
-                Ok(payload) => payload,
-                Err(refusal) => return Ok((refusal, true)),
-            };
-            match shared.shard.restore_text(&payload) {
-                Ok(info) => Reply::Ok(format!("slot={} open={}", info.clock, u8::from(info.open))),
-                Err(e) => shard_err(e),
-            }
+        // The single-engine daemon is its own one-shard topology: fixed
+        // default tenant, routing map version 0 (never swapped).
+        Request::Shards => Reply::Data(shard_line(
+            0,
+            (0, 0),
+            &shard.status()?,
+            ShardHealth::Up,
+            0,
+            0,
+            "default",
+            0,
+        )),
+        Request::Snapshot => Reply::Data(shard.snapshot()?),
+        Request::Restore(_) => {
+            let info = shard.restore_text(payload)?;
+            slot_reply(info.clock, info.open)
         }
         // The single-engine daemon serves exactly one tenant. Selecting it
         // is a no-op (so v1 clients written against a router still work);
         // any other id names state this process does not hold.
+        Request::Tenant { id, .. } if id == "default" => Reply::Ok("tenant=default".to_string()),
         Request::Tenant { id, .. } => {
-            if id == "default" {
-                Reply::Ok("tenant=default".to_string())
-            } else {
-                Reply::Err(
-                    ErrCode::UnknownTenant,
-                    format!("tenant `{id}` does not exist on a single-engine daemon"),
-                )
-            }
+            return Err(Reply::Err(
+                ErrCode::UnknownTenant,
+                format!("tenant `{id}` does not exist on a single-engine daemon"),
+            ))
         }
-        Request::ReshardSplit(_) | Request::ReshardMerge(..) => Reply::Err(
-            ErrCode::BadRequest,
-            "RESHARD requires a router (single-engine daemon has no cells)".to_string(),
-        ),
-        Request::Bye => return Ok((Reply::Ok("bye".to_string()), true)),
-    };
-    Ok((reply, false))
+        Request::ReshardSplit(_) | Request::ReshardMerge(..) => {
+            return Err(Reply::Err(
+                ErrCode::BadRequest,
+                "RESHARD requires a router (single-engine daemon has no cells)".to_string(),
+            ))
+        }
+        Request::Bye => Reply::Ok("bye".to_string()),
+    })
 }
 
 #[cfg(test)]

@@ -33,6 +33,19 @@ pub struct LoadInfo {
     pub open: bool,
 }
 
+impl LoadInfo {
+    /// What `engine` holds.
+    fn of(engine: &OnlineEngine) -> LoadInfo {
+        LoadInfo {
+            chargers: engine.scenario().num_chargers(),
+            staged: engine.staged_len() + engine.scenario().num_tasks(),
+            slots: engine.scenario().grid.num_slots,
+            clock: engine.clock(),
+            open: !engine.is_closed(),
+        }
+    }
+}
+
 /// Liveness of one shard as reported by `SHARDS?`. In-process shards are
 /// always [`ShardHealth::Up`]; the out-of-process supervisor moves a shard
 /// through `restarting` (child dead or mid-replay, rejoin pending) and
@@ -236,141 +249,115 @@ impl Shard {
             return Err(ShardError::AlreadyLoaded);
         }
         let new = OnlineEngine::new(scenario, self.scheduling.clone(), self.max_pending);
-        let info = LoadInfo {
-            chargers: new.scenario().num_chargers(),
-            staged: new.staged_len() + new.scenario().num_tasks(),
-            slots: new.scenario().grid.num_slots,
-            clock: new.clock(),
-            open: !new.is_closed(),
-        };
+        let info = LoadInfo::of(&new);
         *engine = Some(new);
         Ok(info)
+    }
+
+    /// Runs `f` on the loaded engine under the shard's lock, or fails
+    /// with [`ShardError::NoScenario`] before any scenario is loaded.
+    fn with_engine<T>(
+        &self,
+        f: impl FnOnce(&mut OnlineEngine) -> Result<T, ShardError>,
+    ) -> Result<T, ShardError> {
+        match self.engine.lock().as_mut() {
+            None => Err(ShardError::NoScenario),
+            Some(engine) => f(engine),
+        }
     }
 
     /// Submits a task into the open slot. Returns the shard-local task id
     /// and the release slot (the current clock).
     pub fn submit(&self, spec: TaskSpec) -> Result<(TaskId, usize), ShardError> {
-        let mut engine = self.engine.lock();
-        match engine.as_mut() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => match engine.submit(spec) {
-                Ok(id) => Ok((id, engine.clock())),
-                Err(e) => Err(ShardError::Admit(e)),
-            },
-        }
+        self.with_engine(|engine| match engine.submit(spec) {
+            Ok(id) => Ok((id, engine.clock())),
+            Err(e) => Err(ShardError::Admit(e)),
+        })
     }
 
     /// Advances up to `n` slots (stopping at the horizon). Returns the new
     /// clock and whether the grid is still open. Fails with
     /// [`ShardError::AtHorizon`] only when already closed on entry.
     pub fn tick(&self, n: usize) -> Result<(usize, bool), ShardError> {
-        let mut engine = self.engine.lock();
-        match engine.as_mut() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => {
-                if engine.is_closed() {
-                    return Err(ShardError::AtHorizon);
-                }
-                for _ in 0..n {
-                    if engine.tick().is_none() {
-                        break;
-                    }
-                }
-                Ok((engine.clock(), !engine.is_closed()))
+        self.with_engine(|engine| {
+            if engine.is_closed() {
+                return Err(ShardError::AtHorizon);
             }
-        }
+            for _ in 0..n {
+                if engine.tick().is_none() {
+                    break;
+                }
+            }
+            Ok((engine.clock(), !engine.is_closed()))
+        })
     }
 
     /// The current clock and open flag.
     pub fn clock(&self) -> Result<(usize, bool), ShardError> {
-        match self.engine.lock().as_ref() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => Ok((engine.clock(), !engine.is_closed())),
-        }
+        self.with_engine(|engine| Ok((engine.clock(), !engine.is_closed())))
     }
 
     /// The schedule as a text document (the model's serialization format).
     pub fn schedule_text(&self) -> Result<String, ShardError> {
-        match self.engine.lock().as_ref() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => Ok(haste_model::io::write_schedule(engine.schedule())),
-        }
+        self.with_engine(|engine| Ok(haste_model::io::write_schedule(engine.schedule())))
     }
 
     /// A clone of the current schedule (shard-local charger ids).
     pub fn schedule(&self) -> Result<haste_model::Schedule, ShardError> {
-        match self.engine.lock().as_ref() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => Ok(engine.schedule().clone()),
-        }
+        self.with_engine(|engine| Ok(engine.schedule().clone()))
     }
 
     /// Total `(full, relaxed)` utility of the schedule as executed so far.
     pub fn utility(&self) -> Result<(f64, f64), ShardError> {
-        let mut engine = self.engine.lock();
-        match engine.as_mut() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => {
-                let full = engine.evaluate().total_utility;
-                let relaxed = engine.relaxed_value();
-                Ok((full, relaxed))
-            }
-        }
+        self.with_engine(|engine| {
+            let full = engine.evaluate().total_utility;
+            Ok((full, engine.relaxed_value()))
+        })
     }
 
     /// Per-task weighted utility terms in task-id order (see
     /// [`UtilityParts`]). Both evaluations read the engine's own coverage
     /// map, which is kept current as tasks arrive.
     pub fn utility_parts(&self) -> Result<UtilityParts, ShardError> {
-        let mut engine = self.engine.lock();
-        match engine.as_mut() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => {
-                let report = engine.evaluate();
-                let relaxed_report = engine.relaxed_report();
-                let full = weighted(engine, &report.per_task_utility);
-                let relaxed = weighted(engine, &relaxed_report.per_task_utility);
-                Ok(UtilityParts { full, relaxed })
-            }
-        }
+        self.with_engine(|engine| {
+            let report = engine.evaluate();
+            let relaxed_report = engine.relaxed_report();
+            let full = weighted(engine, &report.per_task_utility);
+            let relaxed = weighted(engine, &relaxed_report.per_task_utility);
+            Ok(UtilityParts { full, relaxed })
+        })
     }
 
     /// The full engine status (`SHARDS?` line plus `haste_engine_*` families).
     pub fn status(&self) -> Result<ShardStatus, ShardError> {
-        match self.engine.lock().as_ref() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => {
-                let metrics = engine.metrics();
-                let stats = engine.stats();
-                let (admitted, rejected, pending) = engine.counters();
-                Ok(ShardStatus {
-                    clock: engine.clock(),
-                    open: !engine.is_closed(),
-                    tasks: engine.scenario().num_tasks(),
-                    staged: engine.staged_len(),
-                    admitted,
-                    rejected,
-                    pending,
-                    threads: metrics.threads,
-                    oracle_marginals: metrics.oracle_marginals,
-                    oracle_commits: metrics.oracle_commits,
-                    messages: stats.messages,
-                    rounds: stats.rounds,
-                    instance_build_us: metrics.instance_build.as_micros(),
-                    greedy_us: metrics.greedy.as_micros(),
-                    rounding_us: metrics.rounding.as_micros(),
-                    coverage_build_us: metrics.coverage_build.as_micros(),
-                })
-            }
-        }
+        self.with_engine(|engine| {
+            let metrics = engine.metrics();
+            let stats = engine.stats();
+            let (admitted, rejected, pending) = engine.counters();
+            Ok(ShardStatus {
+                clock: engine.clock(),
+                open: !engine.is_closed(),
+                tasks: engine.scenario().num_tasks(),
+                staged: engine.staged_len(),
+                admitted,
+                rejected,
+                pending,
+                threads: metrics.threads,
+                oracle_marginals: metrics.oracle_marginals,
+                oracle_commits: metrics.oracle_commits,
+                messages: stats.messages,
+                rounds: stats.rounds,
+                instance_build_us: metrics.instance_build.as_micros(),
+                greedy_us: metrics.greedy.as_micros(),
+                rounding_us: metrics.rounding.as_micros(),
+                coverage_build_us: metrics.coverage_build.as_micros(),
+            })
+        })
     }
 
     /// The lossless engine snapshot document.
     pub fn snapshot(&self) -> Result<String, ShardError> {
-        match self.engine.lock().as_ref() {
-            None => Err(ShardError::NoScenario),
-            Some(engine) => Ok(engine.snapshot()),
-        }
+        self.with_engine(|engine| Ok(engine.snapshot()))
     }
 
     /// Replaces the shard's engine with one restored from a snapshot
@@ -388,13 +375,7 @@ impl Shard {
     /// the set as a whole, and only then install — so a corrupt section
     /// can never leave a partial cut behind.
     pub fn install(&self, engine: OnlineEngine) -> LoadInfo {
-        let info = LoadInfo {
-            chargers: engine.scenario().num_chargers(),
-            staged: engine.staged_len() + engine.scenario().num_tasks(),
-            slots: engine.scenario().grid.num_slots,
-            clock: engine.clock(),
-            open: !engine.is_closed(),
-        };
+        let info = LoadInfo::of(&engine);
         *self.engine.lock() = Some(engine);
         info
     }

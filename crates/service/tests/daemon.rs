@@ -4,7 +4,9 @@
 use haste_distributed::{replay_trace, OnlineEngine, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{Charger, ChargingParams, Scenario, TimeGrid};
-use haste_service::{loadgen, serve, serve_router, Client, RouterConfig, ServerConfig};
+use haste_service::{
+    loadgen, serve, serve_router, Client, ClientError, RouterConfig, ServerConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,6 +138,14 @@ fn daemon_streamed_session_matches_batch_replay() {
     assert_eq!(replayed.report.total_utility.to_bits(), utility.to_bits());
 }
 
+/// The full `ERR <code> <message>` text of a refused request.
+fn refusal<T: std::fmt::Debug>(outcome: Result<T, ClientError>) -> String {
+    match outcome {
+        Err(ClientError::Server { code, message }) => format!("ERR {code} {message}"),
+        other => panic!("expected an ERR reply, got {other:?}"),
+    }
+}
+
 #[test]
 fn protocol_error_paths() {
     let server = serve(ServerConfig {
@@ -159,6 +169,51 @@ fn protocol_error_paths() {
     );
     assert_eq!(client.tick(1).unwrap_err().code(), Some("no-scenario"));
     assert_eq!(client.schedule().unwrap_err().code(), Some("no-scenario"));
+
+    // The full refusal text of every engine verb before LOAD, over v3 so
+    // the batch is a real `OP_BATCH` frame. The daemon has no cells, and
+    // no tenant but `default`.
+    let (mut framed, _) = Client::connect_v3(server.addr()).unwrap();
+    let no_scenario = "ERR no-scenario no scenario loaded (LOAD or RESTORE first)";
+    assert_eq!(refusal(framed.clock()), no_scenario);
+    assert_eq!(refusal(framed.schedule()), no_scenario);
+    assert_eq!(refusal(framed.utility()), no_scenario);
+    assert_eq!(refusal(framed.parts()), no_scenario);
+    assert_eq!(refusal(framed.shards()), no_scenario);
+    assert_eq!(refusal(framed.snapshot()), no_scenario);
+    assert_eq!(refusal(framed.tick(1)), no_scenario);
+    assert_eq!(refusal(framed.submit(&spec)), no_scenario);
+    let non_finite = TaskSpec {
+        device_facing: Angle::from_radians(f64::NAN),
+        ..spec
+    };
+    let acks: Vec<String> = framed
+        .submit_batch(&[spec, non_finite])
+        .unwrap()
+        .into_iter()
+        .map(refusal)
+        .collect();
+    assert_eq!(
+        acks,
+        [no_scenario, "ERR bad-task non-finite position/facing"]
+    );
+    assert_eq!(
+        refusal(framed.submit(&non_finite)),
+        "ERR bad-task non-finite position/facing"
+    );
+    assert_eq!(
+        refusal(framed.reshard_split(0)),
+        "ERR bad-request RESHARD requires a router (single-engine daemon has no cells)"
+    );
+    assert_eq!(
+        refusal(framed.reshard_merge(0, 1)),
+        "ERR bad-request RESHARD requires a router (single-engine daemon has no cells)"
+    );
+    assert_eq!(
+        refusal(framed.tenant("ghost", None)),
+        "ERR unknown-tenant tenant `ghost` does not exist on a single-engine daemon"
+    );
+    framed.bye().unwrap();
 
     client.load(&base_scenario(1, 3, 6)).unwrap();
     // Double LOAD is rejected.

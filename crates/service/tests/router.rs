@@ -5,7 +5,9 @@
 use haste_distributed::{OnlineConfig, TaskSpec};
 use haste_geometry::{Angle, Vec2};
 use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
-use haste_service::{loadgen, serve, serve_router, Client, RouterConfig, ServerConfig};
+use haste_service::{
+    loadgen, serve, serve_router, Client, ClientError, RouterConfig, ServerConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -295,6 +297,41 @@ fn hello_v2_advertises_topology_and_shards_reports_per_shard_state() {
     router.shutdown();
 }
 
+/// The full `ERR <code> <message>` text of a refused request.
+fn refusal<T: std::fmt::Debug>(outcome: Result<T, ClientError>) -> String {
+    match outcome {
+        Err(ClientError::Server { code, message }) => format!("ERR {code} {message}"),
+        other => panic!("expected an ERR reply, got {other:?}"),
+    }
+}
+
+/// Sends every tenant-scoped verb once and returns each refusal, keyed by
+/// verb (one entry per `OP_BATCH` ack).
+fn tenant_verb_refusals(client: &mut Client) -> Vec<(&'static str, String)> {
+    let spec = TaskSpec {
+        device_pos: Vec2::new(40.0, 50.0),
+        device_facing: Angle::from_radians(1.0),
+        end_slot: 4,
+        required_energy: 800.0,
+        weight: 1.0,
+    };
+    let mut refusals = vec![
+        ("CLOCK?", refusal(client.clock())),
+        ("SCHEDULE?", refusal(client.schedule())),
+        ("UTILITY?", refusal(client.utility())),
+        ("PARTS?", refusal(client.parts())),
+        ("SNAPSHOT", refusal(client.snapshot())),
+        ("TICK", refusal(client.tick(1))),
+        ("SUBMIT", refusal(client.submit(&spec))),
+        ("RESHARD SPLIT", refusal(client.reshard_split(0))),
+        ("RESHARD MERGE", refusal(client.reshard_merge(0, 1))),
+    ];
+    for ack in client.submit_batch(&[spec, spec]).unwrap() {
+        refusals.push(("OP_BATCH", refusal(ack)));
+    }
+    refusals
+}
+
 #[test]
 fn unpartitionable_scenarios_are_rejected_at_load() {
     let router = serve_router(router_config()).unwrap();
@@ -303,6 +340,46 @@ fn unpartitionable_scenarios_are_rejected_at_load() {
     // Queries before LOAD still produce the structured v1 errors.
     assert_eq!(client.tick(1).unwrap_err().code(), Some("no-scenario"));
     assert_eq!(client.schedule().unwrap_err().code(), Some("no-scenario"));
+
+    // The full refusal table, over v3 so the batch is a real `OP_BATCH`
+    // frame: every tenant-scoped verb on a tenant that exists but holds
+    // no scenario, and on one that was never created.
+    let (mut unloaded, _) = Client::connect_v3(router.addr()).unwrap();
+    for (verb, reply) in tenant_verb_refusals(&mut unloaded) {
+        assert_eq!(
+            reply, "ERR no-scenario no scenario loaded (LOAD or RESTORE first)",
+            "{verb}"
+        );
+    }
+    let (mut ghost, _) = Client::connect_v3(router.addr()).unwrap();
+    ghost.tenant("ghost", None).unwrap();
+    for (verb, reply) in tenant_verb_refusals(&mut ghost) {
+        assert_eq!(
+            reply, "ERR unknown-tenant tenant `ghost` does not exist (LOAD creates it)",
+            "{verb}"
+        );
+    }
+    // A text SUBMIT checks its own fields before the tenant; a batch
+    // checks the tenant before its records.
+    let non_finite = TaskSpec {
+        device_pos: Vec2::new(f64::INFINITY, 50.0),
+        device_facing: Angle::from_radians(1.0),
+        end_slot: 4,
+        required_energy: 800.0,
+        weight: 1.0,
+    };
+    assert_eq!(
+        refusal(ghost.submit(&non_finite)),
+        "ERR bad-task non-finite position/facing"
+    );
+    for ack in ghost.submit_batch(&[non_finite]).unwrap() {
+        assert_eq!(
+            refusal(ack),
+            "ERR unknown-tenant tenant `ghost` does not exist (LOAD creates it)"
+        );
+    }
+    unloaded.bye().unwrap();
+    ghost.bye().unwrap();
 
     // A charger 5 m from the interior boundary sits inside the 20 m halo:
     // its reach crosses the cut, so the partition is invalid.

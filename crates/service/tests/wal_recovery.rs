@@ -14,7 +14,7 @@ use haste_geometry::{Angle, Vec2};
 use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
 use haste_service::loadgen::{run, LoadgenConfig};
 use haste_service::wal::WalConfig;
-use haste_service::{serve_router, Client, FaultPlan, RouterConfig};
+use haste_service::{serve_router, Client, ClientError, FaultPlan, RouterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -432,4 +432,118 @@ fn two_tenants_and_a_live_reshard_survive_kill_nine() {
     beta.bye().unwrap();
     child.kill().unwrap();
     child.wait().unwrap();
+}
+
+// ----------------------------------------------------------------------
+// Front-door refusals on a durable router
+// ----------------------------------------------------------------------
+
+/// A durable, localized 2×1 router over `dir`.
+fn durable_config(dir: &Path) -> RouterConfig {
+    RouterConfig {
+        scheduling: OnlineConfig {
+            localized: true,
+            ..OnlineConfig::default()
+        },
+        cells: (2, 1),
+        field: (200.0, 100.0),
+        wal: Some(WalConfig::new(dir)),
+        ..RouterConfig::default()
+    }
+}
+
+/// The full `ERR <code> <message>` text of a refused request.
+fn refusal<T: std::fmt::Debug>(outcome: Result<T, ClientError>) -> String {
+    match outcome {
+        Err(ClientError::Server { code, message }) => format!("ERR {code} {message}"),
+        other => panic!("expected an ERR reply, got {other:?}"),
+    }
+}
+
+/// A quota parked by `TENANT` on a not-yet-created tenant belongs to the
+/// `LOAD` that creates the tenant. When another connection creates it
+/// first, the parked quota must not ride in on the refused `LOAD`: it
+/// would cap admissions in memory without ever reaching the log, so a
+/// restarted router would admit what the live one refused.
+#[test]
+fn a_refused_load_leaves_a_parked_quota_unapplied() {
+    let dir = scratch("parked-quota");
+    let scenario = partitionable_scenario(91);
+    let trace = submission_trace(92, 8);
+
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let mut a = Client::connect(router.addr()).unwrap();
+    a.tenant("t", Some(3)).unwrap();
+    let mut b = Client::connect(router.addr()).unwrap();
+    b.tenant("t", None).unwrap();
+    b.load(&scenario).unwrap();
+    assert_eq!(
+        refusal(a.load(&scenario)),
+        "ERR already-loaded a scenario is already loaded (RESTORE replaces state, LOAD does not)"
+    );
+    // No quota was ever set on `t`: four submissions in one slot pass.
+    for (_, spec) in &trace[..4] {
+        a.submit(spec).unwrap();
+    }
+    a.tick(1).unwrap();
+    let live = finish(&mut a);
+    drop(a);
+    drop(b);
+    router.shutdown();
+
+    // The restarted router agrees: same state, and still no quota.
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.tenant("t", None).unwrap();
+    assert_eq!(finish(&mut client), live);
+    for (_, spec) in &trace[4..] {
+        client.submit(spec).unwrap();
+    }
+    client.bye().unwrap();
+    router.shutdown();
+}
+
+/// The WAL fail-stop path end to end: once a checkpoint cannot be
+/// written (its directory is gone, so the temp file cannot be created),
+/// the tenant turns read-only. Every mutation gets the same refusal and
+/// changes nothing; every read still answers.
+#[test]
+fn a_failed_checkpoint_turns_the_tenant_read_only() {
+    let dir = scratch("fail-stop");
+    let scenario = partitionable_scenario(93);
+    let trace = submission_trace(94, 4);
+    let specs: Vec<TaskSpec> = trace.iter().map(|(_, spec)| *spec).collect();
+
+    let router = serve_router(durable_config(&dir)).unwrap();
+    let (mut client, _) = Client::connect_v3(router.addr()).unwrap();
+    client.load(&scenario).unwrap();
+    client.submit(&specs[0]).unwrap();
+    client.tick(1).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let read_only = "ERR internal tenant `default` is read-only: its write-ahead log \
+                     failed; restart the router to recover, or RESTORE a snapshot";
+    assert_eq!(refusal(client.snapshot()), read_only);
+    let clock = client.clock().unwrap();
+    let parts = client.parts().unwrap();
+
+    assert_eq!(refusal(client.submit(&specs[1])), read_only);
+    for ack in client.submit_batch(&specs[1..]).unwrap() {
+        assert_eq!(refusal(ack), read_only);
+    }
+    assert_eq!(refusal(client.tick(1)), read_only);
+    assert_eq!(refusal(client.tenant("default", Some(5))), read_only);
+    assert_eq!(refusal(client.load(&scenario)), read_only);
+    assert_eq!(refusal(client.reshard_split(0)), read_only);
+    assert_eq!(refusal(client.reshard_merge(0, 1)), read_only);
+
+    // Reads still answer, and no refused mutation moved the state.
+    assert_eq!(client.clock().unwrap(), clock);
+    assert_eq!(client.parts().unwrap(), parts);
+    client.schedule().unwrap();
+    client.utility().unwrap();
+    assert_eq!(client.shards().unwrap().len(), 2);
+    client.snapshot().unwrap();
+    client.bye().unwrap();
+    router.shutdown();
 }

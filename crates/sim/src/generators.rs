@@ -4,10 +4,9 @@ use haste_geometry::{Angle, Vec2, TAU};
 use haste_model::{Charger, ChargingParams, Scenario, Task, TimeGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How task positions are placed in the field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Placement {
     /// Uniform over the square field (the default of Section 7.1).
     Uniform,
@@ -23,7 +22,7 @@ pub enum Placement {
 
 /// A recipe for random scenarios; `generate(seed)` turns it into a concrete
 /// [`Scenario`]. Field values mirror the paper's Section 7.1 defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Charging model constants.
     pub params: ChargingParams,

@@ -3,23 +3,10 @@
 # single-core box. Paper fidelity would be --paper (100 topologies).
 set -x
 BIN="cargo run --release -q -p haste-bench --bin"
-$BIN fig04 -- --topologies 30
-$BIN fig05 -- --topologies 30
-$BIN fig06 -- --topologies 30
-$BIN fig07 -- --topologies 30
-$BIN fig08 -- --topologies 30
-$BIN fig09 -- --topologies 30
-$BIN fig10 -- --topologies 20
-$BIN fig11 -- --topologies 8
-$BIN fig12 -- --topologies 10
-$BIN fig13 -- --topologies 10
-$BIN fig14 -- --topologies 10
-$BIN fig15 -- --topologies 8
-$BIN fig16 -- --topologies 8
-$BIN fig17 -- --topologies 20
-$BIN fig18 -- --topologies 20
+$BIN figures -- fig04 fig05 fig06 fig07 fig08 fig09 --topologies 30
+$BIN figures -- fig10 fig17 fig18 --topologies 20
+$BIN figures -- fig12 fig13 fig14 --topologies 10
+$BIN figures -- fig11 fig15 fig16 failures --topologies 8
 $BIN headline -- --topologies 30
-$BIN fig21_22
-$BIN fig24_25
-$BIN failures -- --topologies 8
+$BIN figures -- fig21_22 fig24_25
 $BIN ablation -- --topologies 10
